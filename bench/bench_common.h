@@ -2,8 +2,8 @@
 //
 // Each binary regenerates one table or figure from the paper's evaluation
 // (Sec. IV) on the simulated ABCI substrate and prints the same rows /
-// series the paper reports. EXPERIMENTS.md records paper-vs-measured for
-// every one of them.
+// series the paper reports. EXPERIMENTS.md is the ledger of measured
+// results and same-machine A/Bs.
 #pragma once
 
 #include <cstdio>

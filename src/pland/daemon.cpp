@@ -621,22 +621,24 @@ struct Daemon::Impl {
         continue;
       }
       const api::PlanRequest request = std::move(parsed).value();
+      // Keyed under the engine's ACTIVE calibration (key_for, not the
+      // bare request_key): a calibrate verb flushes the memo, so every
+      // surviving entry agrees with the hash the engine keys by.
+      const cache::RequestKey key = engine->key_for(request);
       {
         std::lock_guard<std::mutex> lock(digest_mu);
         if (digests.size() >= kDigestMemoCap) digests.clear();
-        // Keyed under the engine's ACTIVE calibration (key_for, not the
-        // bare request_key): a calibrate verb flushes this memo, so every
-        // surviving entry agrees with the hash the engine keys by.
         digests.emplace(job.digest,
-                        DigestEntry{engine->key_for(request),
-                                    request.probe_feasible_batch});
+                        DigestEntry{key, request.probe_feasible_batch});
       }
       // Cached answers (e.g. a warm disk store the memo hasn't seen yet)
-      // settle here without a search; otherwise the search runs on this
-      // worker thread — in-process single-flight collapses identical
-      // concurrent misses, DiskStore claim files collapse them
-      // fleet-wide.
-      auto outcome = engine->try_cached(request);
+      // settle here on the key just computed, without a search; otherwise
+      // the search runs on this worker thread — in-process single-flight
+      // collapses identical concurrent misses, DiskStore claim files
+      // collapse them fleet-wide. The keyed probe skips validation, but
+      // an invalid request is never cached (validity is a function of
+      // keyed fields), so it misses here and plan() rejects it.
+      auto outcome = engine->try_cached(key, request.probe_feasible_batch);
       if (!outcome) outcome = engine->plan(request);
       // Counted BEFORE the response goes out: a client that reacts to its
       // plan by reading stats must observe the completion.

@@ -163,6 +163,77 @@ TEST(RequestKey, EdgeInsertionOrderCannotLeakIn) {
   EXPECT_EQ(request_key(a), request_key(b));
 }
 
+TEST(RequestKey, FingerprintIsExactlyTheHashedStream) {
+  // One request per benchmark kind: VGG16, the three ResNets, U-Net,
+  // data-parallel x4, and the mixed-generation fleet.
+  std::vector<api::PlanRequest> requests;
+  for (graph::Model model :
+       {graph::make_vgg16(128), graph::make_resnet50(512),
+        graph::make_resnet200(16), graph::make_resnet1001(256),
+        graph::make_unet(24)}) {
+    api::PlanRequest r = resnet_request();
+    r.model = std::move(model);
+    requests.push_back(std::move(r));
+  }
+  api::PlanRequest dp = resnet_request(128);
+  dp.distributed = core::DistributedOptions{};
+  dp.distributed->num_gpus = 4;
+  requests.push_back(dp);
+  api::PlanRequest fleet = resnet_request();
+  fleet.fleet = place::mixed_generation_fleet(2, 2, 48LL << 30);
+  requests.push_back(fleet);
+
+  for (const api::PlanRequest& r : requests) {
+    for (const std::string calibration : {"", "0123456789abcdef"}) {
+      const std::string stream = request_fingerprint(r, calibration);
+      EXPECT_EQ(stream.size() % 8, 0u) << r.model.name();  // whole words
+      EXPECT_EQ(util::digest128(stream), request_key(r, calibration).digest)
+          << r.model.name() << " calibration '" << calibration << "'";
+    }
+  }
+}
+
+TEST(RequestKey, ValuesCannotImpersonateDelimiters) {
+  // Two-layer model; each case varies its names or its shape only.
+  const auto model = [](const char* first, const char* second,
+                        const graph::TensorShape& shape) {
+    graph::Model m("m");
+    for (const char* name : {first, second}) {
+      graph::Layer layer;
+      layer.name = name;
+      layer.kind = graph::LayerKind::kFullyConnected;
+      layer.in_shape = layer.out_shape = shape;
+      m.add_layer(std::move(layer));
+    }
+    return m;
+  };
+  const auto keyed = [](graph::Model m) {
+    api::PlanRequest r = resnet_request();
+    r.model = std::move(m);
+    return request_key(r);
+  };
+  const graph::TensorShape shape({4, 8});
+  EXPECT_NE(keyed(model("ab", "c", shape)), keyed(model("a", "bc", shape)));
+  EXPECT_NE(keyed(model("a", "b", graph::TensorShape({2, 3}))),
+            keyed(model("a", "b", graph::TensorShape({23}))));
+
+  // Succ lists {1,2},{2},{3} vs {1},{2,3},{3}: one skip edge moved to the
+  // next list. (Consecutive layers are always linked, so a valid model
+  // cannot split one flattened id sequence two ways; this is the
+  // nearest admissible pair.)
+  const auto skipped = [](int from, int to) {
+    graph::Model m = chain_model(3, 4, 8, "skips");
+    m.add_edge(from, to);
+    return m;
+  };
+  EXPECT_NE(keyed(skipped(0, 2)), keyed(skipped(1, 3)));
+
+  api::PlanRequest absent = resnet_request();
+  api::PlanRequest defaults = resnet_request();
+  defaults.distributed = core::DistributedOptions{};
+  EXPECT_NE(request_key(absent), request_key(defaults));
+}
+
 // ---------------------------------------------------------------------------
 // PlanCache: LRU level
 // ---------------------------------------------------------------------------
