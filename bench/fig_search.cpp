@@ -2,13 +2,12 @@
 // BENCH_search.json.
 //
 // Question: how much faster does the planner reach deep-anneal quality
-// after the search-layer rework (indexed engine event loop, checkpointed
-// suffix re-simulation, N-worker portfolio annealing) than the previous
-// revision's serial search? The baseline leg is not a guess: it replays
-// with EngineOptions.reference_event_loop — the seed engine's O(n)-sweep
-// loop, property-tested bit-identical — at workers=1 with incremental
-// resume off, i.e. the exact pre-rework search path compiled into this
-// binary.
+// after the search-layer rework (indexed engine event loop, N-worker
+// portfolio annealing) than the previous revision's serial search? The
+// baseline leg is not a guess: it replays with
+// EngineOptions.reference_event_loop — the seed engine's O(n)-sweep loop,
+// property-tested bit-identical — at workers=1, i.e. the serial search on
+// the seed event loop compiled into this binary.
 //
 // The headline gate is TIME-TO-TARGET, the standard metric for parallel
 // metaheuristics: the baseline runs its full 4000-iteration budget and
@@ -25,8 +24,8 @@
 //   2. equal-budget quality: new config at 4000 iters is <= baseline's
 //      simulated iteration time (never trades quality for speed)
 //   3. determinism: two N-worker runs produce bit-identical plans
-//   4. replay-path equivalence: reference-loop, indexed-loop, and
-//      incremental legs land on bit-identical iteration times
+//   4. replay-path equivalence: the reference-loop and indexed-loop legs
+//      land on bit-identical iteration times and schedules
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -53,12 +52,11 @@ double now_seconds() {
 constexpr int kIterations = 4000;  // the deep-anneal budget
 constexpr int kReps = 5;           // min-of-N wall-clock per leg
 
-core::PlannerOptions leg_options(int workers, bool incremental,
-                                 bool reference_loop, int iterations) {
+core::PlannerOptions leg_options(int workers, bool reference_loop,
+                                 int iterations) {
   core::PlannerOptions o;
   o.anneal_iterations = iterations;
   o.anneal_workers = workers;
-  o.incremental_resim = incremental;
   o.reference_engine_loop = reference_loop;
   return o;
 }
@@ -84,12 +82,9 @@ LegResult run_leg(const graph::Model& model, const sim::DeviceSpec& device,
 
 void print_leg(const char* name, const LegResult& leg) {
   const auto& s = leg.result.search;
-  std::printf("%-22s %8.4f s wall  it=%.6f ms  sims=%lld  resumes=%lld  "
-              "ops_saved=%lld\n",
-              name, leg.wall, leg.result.iteration_time * 1e3,
-              static_cast<long long>(s.simulations),
-              static_cast<long long>(s.incremental_resumes),
-              static_cast<long long>(s.resumed_ops_saved));
+  std::printf("%-22s %8.4f s wall  it=%.6f ms  sims=%lld\n", name,
+              leg.wall, leg.result.iteration_time * 1e3,
+              static_cast<long long>(s.simulations));
 }
 
 void write_leg(util::json::Writer& w, const char* name, const LegResult& leg) {
@@ -98,9 +93,6 @@ void write_leg(util::json::Writer& w, const char* name, const LegResult& leg) {
   w.key("wall_s"); w.value(leg.wall);
   w.key("iteration_time_s"); w.value(leg.result.iteration_time);
   w.key("simulations"); w.value(leg.result.search.simulations);
-  w.key("incremental_resumes");
-  w.value(leg.result.search.incremental_resumes);
-  w.key("resumed_ops_saved"); w.value(leg.result.search.resumed_ops_saved);
   w.end_object();
 }
 
@@ -119,36 +111,32 @@ int main() {
 
   // ---- Fixed-budget legs: one factor enabled at a time ----
   const LegResult pr7 =
-      run_leg(model, device, leg_options(1, false, true, kIterations));
+      run_leg(model, device, leg_options(1, true, kIterations));
   const LegResult loop =
-      run_leg(model, device, leg_options(1, false, false, kIterations));
-  const LegResult incr =
-      run_leg(model, device, leg_options(1, true, false, kIterations));
+      run_leg(model, device, leg_options(1, false, kIterations));
   const LegResult pr8 =
-      run_leg(model, device, leg_options(4, true, false, kIterations));
+      run_leg(model, device, leg_options(4, false, kIterations));
   print_leg("baseline (ref loop)", pr7);
   print_leg("+ indexed event loop", loop);
-  print_leg("+ incremental resim", incr);
   print_leg("+ 4-worker portfolio", pr8);
   std::printf("plan: %d blocks, %zu ops\n\n",
               static_cast<int>(pr8.result.blocks.size()),
               pr8.result.plan.ops.size());
 
-  // ---- Gate 4: the three serial legs replay the same search ----
-  // reference_engine_loop and incremental_resim are performance switches;
-  // if any leg's simulated quality moves, the bench is comparing two
-  // different simulators and every ratio below is meaningless.
+  // ---- Gate 4: the two serial legs replay the same search ----
+  // reference_engine_loop is a performance switch; if the leg's simulated
+  // quality moves, the bench is comparing two different simulators and
+  // every ratio below is meaningless.
   const bool replay_equivalent =
       pr7.result.iteration_time == loop.result.iteration_time &&
-      loop.result.iteration_time == incr.result.iteration_time &&
-      pr7.result.plan.schedule_string() == incr.result.plan.schedule_string();
+      pr7.result.plan.schedule_string() == loop.result.plan.schedule_string();
   if (!replay_equivalent)
     std::printf("FAIL: serial legs disagree on the plan — replay paths "
                 "are not equivalent\n");
 
   // ---- Gate 3: N-worker determinism ----
   const LegResult pr8_again =
-      run_leg(model, device, leg_options(4, true, false, kIterations));
+      run_leg(model, device, leg_options(4, false, kIterations));
   const bool deterministic =
       pr8.result.iteration_time == pr8_again.result.iteration_time &&
       pr8.result.policies == pr8_again.result.policies &&
@@ -173,7 +161,7 @@ int main() {
   int ttt_budget = 0;
   for (const int budget : budgets) {
     const LegResult probe =
-        run_leg(model, device, leg_options(4, true, false, budget));
+        run_leg(model, device, leg_options(4, false, budget));
     const bool reached =
         probe.result.iteration_time <= target * (1.0 + 1e-12);
     std::printf("  %5d iters: %8.4f s wall  it=%.6f ms  %s\n", budget,
@@ -195,14 +183,9 @@ int main() {
 
   // ---- Attribution: where the win comes from, factor by factor ----
   const double f_loop = loop.wall > 0 ? pr7.wall / loop.wall : 0.0;
-  const double f_incr = incr.wall > 0 ? loop.wall / incr.wall : 0.0;
-  const double f_portfolio = pr8.wall > 0 ? incr.wall / pr8.wall : 0.0;
+  const double f_portfolio = pr8.wall > 0 ? loop.wall / pr8.wall : 0.0;
   std::printf("\nattribution (equal 4000-iteration budget):\n");
   std::printf("  indexed event loop:   %.2fx\n", f_loop);
-  std::printf("  incremental resim:    %.2fx  (forward-phase checkpoints "
-              "only — the backward half always replays, so this is "
-              "~neutral at workers=1 and pays off as plans deepen)\n",
-              f_incr);
   std::printf("  4-worker portfolio:   %.2fx wall at this core count "
               "(hardware_concurrency=%u); its real contribution is "
               "quality per iteration — see the sweep above\n",
@@ -233,7 +216,6 @@ int main() {
     w.begin_object();
     write_leg(w, "baseline_reference_loop", pr7);
     write_leg(w, "indexed_loop", loop);
-    write_leg(w, "incremental", incr);
     write_leg(w, "portfolio_w4", pr8);
     w.end_object();
     w.key("time_to_target");
@@ -248,7 +230,6 @@ int main() {
     w.key("attribution");
     w.begin_object();
     w.key("indexed_event_loop"); w.value(f_loop);
-    w.key("incremental_resim"); w.value(f_incr);
     w.key("portfolio_w4"); w.value(f_portfolio);
     w.key("equal_budget_total"); w.value(speedup_equal_budget);
     w.end_object();

@@ -138,8 +138,8 @@ void write_planner(KeyWriter& w, const core::PlannerOptions& p) {
   w.put(p.anneal_iterations);
   // Plan-affecting: the portfolio reduction is deterministic for a fixed
   // worker count, but different counts explore different rng streams.
-  // incremental_resim is intentionally absent — resumed replays are
-  // bit-identical to cold ones, so it cannot change the plan.
+  // reference_engine_loop is intentionally absent — both event loops
+  // replay bit-identically, so it cannot change the plan.
   w.put(p.anneal_workers);
   w.put(p.seed);
   w.put(p.schedule.prefetch_window);
