@@ -408,47 +408,37 @@ Bytes derive_reserved_host(const PlanRequest& request) {
 }
 
 std::optional<PlanError> validate(const PlanRequest& request) {
-  if (request.model.num_layers() == 0) {
+  const std::string& model = request.model.name();
+  const std::string& device = request.device.name;
+  const auto invalid = [](std::string message, std::string model_name,
+                          std::string device_name) {
     PlanError e;
     e.code = PlanErrorCode::kInvalidRequest;
-    e.message = "request has an empty model";
-    e.device = request.device.name;
+    e.message = std::move(message);
+    e.model = std::move(model_name);
+    e.device = std::move(device_name);
     return e;
-  }
-  if (request.device.memory_capacity <= 0) {
-    PlanError e;
-    e.code = PlanErrorCode::kInvalidRequest;
-    e.message = "device has no memory capacity";
-    e.model = request.model.name();
-    return e;
-  }
-  if (request.distributed && request.distributed->num_gpus < 2) {
-    PlanError e;
-    e.code = PlanErrorCode::kInvalidRequest;
-    e.message = "distributed planning needs num_gpus >= 2";
-    e.model = request.model.name();
-    e.device = request.device.name;
-    return e;
-  }
-  if (request.fleet && request.distributed) {
-    PlanError e;
-    e.code = PlanErrorCode::kInvalidRequest;
-    e.message =
+  };
+  if (request.model.num_layers() == 0)
+    return invalid("request has an empty model", "", device);
+  if (request.device.memory_capacity <= 0)
+    return invalid("device has no memory capacity", model, "");
+  // Each anneal worker is a thread: a request must not ask for thousands.
+  if (request.planner.anneal_workers < 1 ||
+      request.planner.anneal_workers > core::kMaxAnnealWorkers)
+    return invalid("planner.anneal_workers must be in [1, " +
+                       std::to_string(core::kMaxAnnealWorkers) + "]",
+                   model, device);
+  if (request.distributed && request.distributed->num_gpus < 2)
+    return invalid("distributed planning needs num_gpus >= 2", model, device);
+  if (request.fleet && request.distributed)
+    return invalid(
         "fleet and distributed are mutually exclusive: a FleetSpec IS the "
-        "data-parallel topology (symmetric ranks use `distributed`)";
-    e.model = request.model.name();
-    e.device = request.device.name;
-    return e;
-  }
+        "data-parallel topology (symmetric ranks use `distributed`)",
+        model, device);
   if (request.fleet) {
     const std::string why = place::validate_fleet(*request.fleet);
-    if (!why.empty()) {
-      PlanError e;
-      e.code = PlanErrorCode::kInvalidRequest;
-      e.message = "invalid fleet: " + why;
-      e.model = request.model.name();
-      return e;
-    }
+    if (!why.empty()) return invalid("invalid fleet: " + why, model, "");
   }
   return std::nullopt;
 }

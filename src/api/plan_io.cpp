@@ -1,100 +1,13 @@
 #include "src/api/plan_io.h"
 
-#include <map>
 #include <stdexcept>
 
-#include "src/api/io_detail.h"
+#include "src/api/request_fields.h"
 #include "src/api/session.h"
+#include "src/util/enum_names.h"
 #include "src/util/json.h"
 
 namespace karma::api {
-
-namespace detail {
-
-// The device component is shared with request_io: a PlanRequest and the
-// Plan it produces serialize the device identically, field for field.
-
-void write_device(util::json::Writer& w, const sim::DeviceSpec& d) {
-  w.begin_object();
-  w.key("name"); w.value(d.name);
-  w.key("memory_capacity"); w.value(d.memory_capacity);
-  w.key("peak_flops"); w.value(d.peak_flops);
-  w.key("device_mem_bw"); w.value(d.device_mem_bw);
-  w.key("h2d_bw"); w.value(d.h2d_bw);
-  w.key("d2h_bw"); w.value(d.d2h_bw);
-  w.key("swap_latency"); w.value(d.swap_latency);
-  w.key("cpu_flops"); w.value(d.cpu_flops);
-  w.key("host_mem_bw"); w.value(d.host_mem_bw);
-  w.key("host_capacity"); w.value(d.host_capacity);
-  w.key("nvme_capacity"); w.value(d.nvme_capacity);
-  w.key("nvme_read_bw"); w.value(d.nvme_read_bw);
-  w.key("nvme_write_bw"); w.value(d.nvme_write_bw);
-  w.key("nvme_latency"); w.value(d.nvme_latency);
-  // The calibration overlay is emitted only when non-identity, so every
-  // uncalibrated artifact's bytes (and golden fixture) are unchanged.
-  if (!d.scale.identity()) {
-    w.key("scale");
-    w.begin_object();
-    w.key("compute"); w.value(d.scale.compute);
-    w.key("h2d"); w.value(d.scale.h2d);
-    w.key("d2h"); w.value(d.scale.d2h);
-    w.key("nvme_read"); w.value(d.scale.nvme_read);
-    w.key("nvme_write"); w.value(d.scale.nvme_write);
-    w.key("cpu_update"); w.value(d.scale.cpu_update);
-    w.end_object();
-  }
-  // Same pattern for the NVMe contention model (DESIGN.md §16): identity
-  // contention emits nothing, so uncontended artifacts stay byte-exact.
-  if (!d.nvme_contention.identity()) {
-    w.key("nvme_contention");
-    w.begin_object();
-    w.key("queue_depth"); w.value(d.nvme_contention.queue_depth);
-    w.key("mixed_read_penalty");
-    w.value(d.nvme_contention.mixed_read_penalty);
-    w.key("mixed_write_penalty");
-    w.value(d.nvme_contention.mixed_write_penalty);
-    w.end_object();
-  }
-  w.end_object();
-}
-
-sim::DeviceSpec read_device(const util::json::Value& v) {
-  sim::DeviceSpec d;
-  d.name = v.at("name").as_string();
-  d.memory_capacity = v.at("memory_capacity").as_int();
-  d.peak_flops = v.at("peak_flops").as_double();
-  d.device_mem_bw = v.at("device_mem_bw").as_double();
-  d.h2d_bw = v.at("h2d_bw").as_double();
-  d.d2h_bw = v.at("d2h_bw").as_double();
-  d.swap_latency = v.at("swap_latency").as_double();
-  d.cpu_flops = v.at("cpu_flops").as_double();
-  d.host_mem_bw = v.at("host_mem_bw").as_double();
-  d.host_capacity = v.at("host_capacity").as_int();
-  d.nvme_capacity = v.at("nvme_capacity").as_int();
-  d.nvme_read_bw = v.at("nvme_read_bw").as_double();
-  d.nvme_write_bw = v.at("nvme_write_bw").as_double();
-  d.nvme_latency = v.at("nvme_latency").as_double();
-  if (v.has("scale")) {
-    const util::json::Value& s = v.at("scale");
-    d.scale.compute = s.at("compute").as_double();
-    d.scale.h2d = s.at("h2d").as_double();
-    d.scale.d2h = s.at("d2h").as_double();
-    d.scale.nvme_read = s.at("nvme_read").as_double();
-    d.scale.nvme_write = s.at("nvme_write").as_double();
-    d.scale.cpu_update = s.at("cpu_update").as_double();
-  }
-  if (v.has("nvme_contention")) {
-    const util::json::Value& c = v.at("nvme_contention");
-    d.nvme_contention.queue_depth = c.at("queue_depth").as_double();
-    d.nvme_contention.mixed_read_penalty =
-        c.at("mixed_read_penalty").as_double();
-    d.nvme_contention.mixed_write_penalty =
-        c.at("mixed_write_penalty").as_double();
-  }
-  return d;
-}
-
-}  // namespace detail
 
 namespace {
 
@@ -102,46 +15,11 @@ using util::json::Value;
 using util::json::Writer;
 using util::json::as_int32;
 
-// ---------------------------------------------------------------------------
-// Enum <-> string maps. Names match the repo's existing display strings.
-// ---------------------------------------------------------------------------
-
-const char* op_kind_tag(sim::OpKind k) { return sim::op_kind_name(k); }
-
-sim::OpKind op_kind_from(const std::string& s) {
-  using sim::OpKind;
-  static const std::map<std::string, OpKind> kMap = {
-      {"F", OpKind::kForward},      {"B", OpKind::kBackward},
-      {"R", OpKind::kRecompute},    {"Sout", OpKind::kSwapOut},
-      {"Sin", OpKind::kSwapIn},     {"AR", OpKind::kAllReduce},
-      {"U", OpKind::kCpuUpdate},    {"Ud", OpKind::kDeviceUpdate}};
-  const auto it = kMap.find(s);
-  if (it == kMap.end()) throw std::runtime_error("unknown op kind '" + s + "'");
-  return it->second;
-}
+// Enums travel as their display names; the readers map them back with
+// util::enum_from_name.
 
 tier::Tier tier_from(const std::string& s) {
-  if (s == "device") return tier::Tier::kDevice;
-  if (s == "host") return tier::Tier::kHost;
-  if (s == "nvme") return tier::Tier::kNvme;
-  throw std::runtime_error("unknown tier '" + s + "'");
-}
-
-tier::Residency residency_from(const std::string& s) {
-  if (s == "act") return tier::Residency::kActivation;
-  if (s == "shard") return tier::Residency::kWeightShard;
-  if (s == "grad") return tier::Residency::kGradient;
-  if (s == "opt") return tier::Residency::kOptimizerState;
-  throw std::runtime_error("unknown residency '" + s + "'");
-}
-
-core::BlockPolicy policy_from(const std::string& s) {
-  using core::BlockPolicy;
-  if (s == "resident") return BlockPolicy::kResident;
-  if (s == "swap") return BlockPolicy::kSwap;
-  if (s == "recompute") return BlockPolicy::kRecompute;
-  if (s == "swap-nvme") return BlockPolicy::kSwapNvme;
-  throw std::runtime_error("unknown policy '" + s + "'");
+  return util::enum_from_name(s, tier::tier_name, tier::Tier::kNvme, "tier");
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +89,7 @@ void write_schedule(Writer& w, const sim::Plan& p) {
   w.begin_array();
   for (const auto& op : p.ops) {
     w.begin_object();
-    w.key("kind"); w.value(op_kind_tag(op.kind));
+    w.key("kind"); w.value(sim::op_kind_name(op.kind));
     w.key("block"); w.value(op.block);
     w.key("tier"); w.value(tier::tier_name(op.tier));
     w.key("residency"); w.value(tier::residency_name(op.residency));
@@ -259,10 +137,14 @@ sim::Plan read_schedule(const Value& v) {
     p.hierarchy = read_hierarchy(v.at("hierarchy"));
   for (const auto& ov : v.at("ops").array) {
     sim::Op op;
-    op.kind = op_kind_from(ov.at("kind").as_string());
+    op.kind = util::enum_from_name(ov.at("kind").as_string(),
+                                   sim::op_kind_name,
+                                   sim::OpKind::kDeviceUpdate, "op kind");
     op.block = as_int32(ov.at("block"), "op.block");
     op.tier = tier_from(ov.at("tier").as_string());
-    op.residency = residency_from(ov.at("residency").as_string());
+    op.residency = util::enum_from_name(
+        ov.at("residency").as_string(), tier::residency_name,
+        tier::Residency::kOptimizerState, "residency");
     op.bytes = ov.at("bytes").as_int();
     op.alloc = ov.at("alloc").as_int();
     op.free = ov.at("free").as_int();
@@ -343,7 +225,9 @@ place::PlacementPlan read_placement(const Value& v) {
     throw std::runtime_error("unsupported placement schema version " +
                              std::to_string(version));
   place::PlacementPlan p;
-  p.strategy = place::placement_strategy_from(v.at("strategy").as_string());
+  p.strategy = util::enum_from_name(
+      v.at("strategy").as_string(), place::placement_strategy_name,
+      place::PlacementStrategy::kRoundRobin, "placement strategy");
   for (const auto& bv : v.at("blocks").array) {
     if (bv.array.size() != 2)
       throw std::runtime_error("bad placement block range");
@@ -410,7 +294,7 @@ std::string plan_to_json(const Plan& plan) {
   w.key("layers"); w.value(plan.model_layers);
   w.end_object();
   w.key("device");
-  detail::write_device(w, plan.device);
+  write_object(w, plan.device);
   w.key("schedule");
   write_schedule(w, plan.schedule);
   w.key("policies");
@@ -461,10 +345,12 @@ Expected<Plan, PlanError> plan_from_json(std::string_view json) {
     plan.model_name = model.at("name").as_string();
     plan.batch = model.at("batch").as_int();
     plan.model_layers = model.at("layers").as_int();
-    plan.device = detail::read_device(root.at("device"));
+    read_object(root.at("device"), plan.device);
     plan.schedule = read_schedule(root.at("schedule"));
     for (const auto& pv : root.at("policies").array)
-      plan.policies.push_back(policy_from(pv.as_string()));
+      plan.policies.push_back(
+          util::enum_from_name(pv.as_string(), core::block_policy_name,
+                               core::BlockPolicy::kSwapNvme, "policy"));
     if (plan.policies.size() != plan.schedule.blocks.size())
       return fail("policies/blocks length mismatch");
     // Structural validation: a parseable-but-corrupt artifact must not

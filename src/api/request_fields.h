@@ -1,0 +1,484 @@
+// One field list per PlanRequest component, and the JSON sinks derived
+// from it (DESIGN.md §10, §12).
+//
+// Each component type has one `fields(v, x)` template that names every
+// field once, in wire order: `v("json_name", x.member)`, plus a tag when
+// the type alone does not say how the field travels. A sink is any
+// callable the list is run against:
+//   - JsonOut writes the fields as one JSON object's members;
+//   - JsonIn reads them back from a parsed DOM object, with every check
+//     (int narrowing, enum ranges, the strict unsigned seed, the fleet
+//     schema version, Model::validate);
+//   - cache::request_key's key writer streams the keyed fields as binary
+//     words (src/cache/request_key.cpp).
+// The same list drives all three, so a field added to a list is written,
+// read and keyed without further code, and "every plan-affecting field is
+// keyed" holds by construction. The lists are templates over the sink, so
+// there is no virtual dispatch and no per-field allocation. A list takes
+// `const T` for the writers and `T` for the reader.
+//
+// Deliberately absent from every list: Layer::id (add_layer assigns it),
+// PlannerOptions::reference_engine_loop (both event loops replay
+// bit-identically, so it cannot change a plan) and
+// DistributedOptions::planner (PlanRequest::planner supersedes it).
+#pragma once
+
+#include <array>
+#include <charconv>
+#include <concepts>
+#include <cstdint>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "src/api/session.h"
+#include "src/util/enum_names.h"
+#include "src/util/json.h"
+
+namespace karma::api {
+
+// ---------------------------------------------------------------------------
+// Tags: how a field travels when its type alone does not say.
+// ---------------------------------------------------------------------------
+
+/// Delivery-only: sent on the wire but never keyed. A server needs it to
+/// honor the request, yet it never changes the plan a search produces.
+struct Unkeyed {};
+/// The member's own field list is spliced into the enclosing object.
+struct Inline {};
+/// An object group that is omitted while it equals its default, so
+/// identity overlays leave artifacts and goldens byte-unchanged. The key
+/// writes a presence word instead.
+struct IfNotDefault {};
+/// A uint64 sent as decimal text: JSON integers here are int64.
+struct DecimalText {};
+/// A constant schema version: written, required equal on read, unkeyed.
+struct SchemaVersion {};
+/// An enum sent as its display name.
+template <class E>
+struct Named {
+  const char* (*name)(E);
+  E last;
+};
+/// An enum sent as its integer value, range-checked on read.
+template <class E>
+struct Coded {
+  E last;
+};
+
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+// ---------------------------------------------------------------------------
+// Field lists.
+// ---------------------------------------------------------------------------
+
+template <class V, Is<graph::Layer> L>
+void fields(V& v, L& l) {
+  v("name", l.name);
+  v("kind", l.kind, Named{graph::layer_kind_name, graph::LayerKind::kGeLU});
+  v("in", l.in_shape);
+  v("out", l.out_shape);
+  v("kernel", l.kernel);
+  v("stride", l.stride);
+  v("in_channels", l.in_channels);
+  v("out_channels", l.out_channels);
+  v("heads", l.heads);
+  v("head_dim", l.head_dim);
+  v("vocab", l.vocab);
+  v("weight_elems", l.weight_elems);
+}
+
+/// A model's skip edges: every edge except the chain edges id -> id + 1,
+/// which add_layer wires itself. Walked in ascending (from, to) order, so
+/// the order edges were added in cannot leak into the wire or the key.
+struct SkipEdges {
+  const graph::Model& model;
+
+  template <class F>
+  void for_each(F f) const {
+    for (const graph::Layer& layer : model.layers())
+      for (const int to : model.succs(layer.id))
+        if (to != layer.id + 1) f(layer.id, to);
+  }
+};
+/// Skip edges as read back, before they are added to the model.
+using SkipPairs = std::vector<std::array<int, 2>>;
+
+/// A Model is built through add_layer/add_edge rather than assigned
+/// member by member, so its list visits its parts: a ModelView of a const
+/// model for the writers, or for the reader (and any other editing
+/// visitor) ModelParts, a copy the model is then rebuilt from.
+template <class V, class P>
+void model_fields(V& v, P& p) {
+  v("name", p.name);
+  v("dtype_bytes", p.dtype_bytes);
+  v("act_scale", p.act_scale);
+  v("layers", p.layers);
+  v("skips", p.skips);
+}
+
+struct ModelView {
+  const std::string& name;
+  int dtype_bytes;
+  double act_scale;
+  const std::vector<graph::Layer>& layers;
+  SkipEdges skips;
+};
+
+struct ModelParts {
+  std::string name;
+  int dtype_bytes = 4;
+  double act_scale = 1.0;
+  std::vector<graph::Layer> layers;
+  SkipPairs skips;
+};
+
+template <class V>
+void fields(V& v, const graph::Model& m) {
+  const ModelView view{m.name(), m.dtype_bytes(), m.activation_memory_scale(),
+                       m.layers(), SkipEdges{m}};
+  model_fields(v, view);
+}
+
+template <class V>
+void fields(V& v, graph::Model& m) {
+  ModelParts parts{m.name(), m.dtype_bytes(), m.activation_memory_scale(),
+                   m.layers(), {}};
+  SkipEdges{m}.for_each(
+      [&](int from, int to) { parts.skips.push_back({from, to}); });
+  model_fields(v, parts);
+  m = graph::Model(std::move(parts.name), parts.dtype_bytes);
+  m.set_activation_memory_scale(parts.act_scale);
+  for (graph::Layer& layer : parts.layers) m.add_layer(std::move(layer));
+  for (const auto& [from, to] : parts.skips) m.add_edge(from, to);
+  m.validate();
+}
+
+template <class V, Is<sim::CostScale> S>
+void fields(V& v, S& s) {
+  v("compute", s.compute);
+  v("h2d", s.h2d);
+  v("d2h", s.d2h);
+  v("nvme_read", s.nvme_read);
+  v("nvme_write", s.nvme_write);
+  v("cpu_update", s.cpu_update);
+}
+
+template <class V, Is<sim::NvmeContention> C>
+void fields(V& v, C& c) {
+  v("queue_depth", c.queue_depth);
+  v("mixed_read_penalty", c.mixed_read_penalty);
+  v("mixed_write_penalty", c.mixed_write_penalty);
+}
+
+template <class V, Is<sim::DeviceSpec> D>
+void fields(V& v, D& d) {
+  v("name", d.name);
+  v("memory_capacity", d.memory_capacity);
+  v("peak_flops", d.peak_flops);
+  v("device_mem_bw", d.device_mem_bw);
+  v("h2d_bw", d.h2d_bw);
+  v("d2h_bw", d.d2h_bw);
+  v("swap_latency", d.swap_latency);
+  v("cpu_flops", d.cpu_flops);
+  v("host_mem_bw", d.host_mem_bw);
+  v("host_capacity", d.host_capacity);
+  v("nvme_capacity", d.nvme_capacity);
+  v("nvme_read_bw", d.nvme_read_bw);
+  v("nvme_write_bw", d.nvme_write_bw);
+  v("nvme_latency", d.nvme_latency);
+  // The calibration overlay (DESIGN.md §13) and the NVMe contention model
+  // (§16) are identity by default: uncalibrated, uncontended devices keep
+  // their bytes, and scaled or contended ones never collide with their
+  // identity twins in the key.
+  v("scale", d.scale, IfNotDefault{});
+  v("nvme_contention", d.nvme_contention, IfNotDefault{});
+}
+
+template <class V, Is<core::ScheduleOptions> S>
+void fields(V& v, S& s) {
+  v("prefetch", s.prefetch_window);
+  v("reserved_host", s.reserved_host_bytes);
+}
+
+template <class V, Is<core::PlannerOptions> P>
+void fields(V& v, P& p) {
+  v("recompute", p.enable_recompute);
+  v("min_blocks", p.min_blocks);
+  v("max_blocks", p.max_blocks);
+  v("anneal", p.anneal_iterations);
+  // Plan-affecting: the portfolio reduction is deterministic for a fixed
+  // worker count, but different counts explore different rng streams.
+  v("anneal_workers", p.anneal_workers);
+  v("seed", p.seed, DecimalText{});
+  v("schedule", p.schedule, Inline{});
+}
+
+template <class V, Is<OptimizerSpec> O>
+void fields(V& v, O& o) {
+  v("kind", o.kind, Coded{OptimizerSpec::Kind::kAdam});
+  v("host_resident", o.host_resident);
+  v("state_per_param", o.state_bytes_per_param_byte);
+}
+
+template <class V, Is<net::NetSpec> N>
+void fields(V& v, N& n) {
+  v("gpus_per_node", n.gpus_per_node);
+  v("intra_bw", n.intra_bw);
+  v("intra_latency", n.intra_latency);
+  v("inter_bw", n.inter_bw);
+  v("inter_latency", n.inter_latency);
+}
+
+template <class V, Is<core::DistributedOptions> D>
+void fields(V& v, D& d) {
+  v("num_gpus", d.num_gpus);
+  v("net", d.net, Inline{});
+  v("exchange", d.exchange, Coded{core::ExchangeMode::kMerged});
+  v("update", d.update, Coded{core::UpdateSite::kDevice});
+  v("iterations", d.iterations);
+  v("shard_fraction", d.weight_shard_fraction);
+}
+
+/// Fleet component schema version, independent of the request envelope
+/// (fleet_to_json is also a standalone fixture format).
+inline constexpr int kFleetJsonVersion = 1;
+
+template <class V, Is<place::FleetNode> N>
+void fields(V& v, N& n) {
+  v("name", n.name);
+  v("device", n.device);
+}
+
+template <class V, Is<place::FleetSpec> F>
+void fields(V& v, F& f) {
+  v("version", kFleetJsonVersion, SchemaVersion{});
+  v("nodes", f.nodes);
+  v("net", f.net, Inline{});
+  v("strategy", f.strategy,
+    Named{place::placement_strategy_name,
+          place::PlacementStrategy::kRoundRobin});
+}
+
+template <class V, Is<PlanRequest::SearchLimits> L>
+void fields(V& v, L& l) {
+  v("deadline", l.deadline);
+  v("max_candidates", l.max_candidates);
+}
+
+template <class V, Is<PlanRequest> R>
+void fields(V& v, R& r) {
+  v("model", r.model);
+  v("device", r.device);
+  v("planner", r.planner);
+  v("optimizer", r.optimizer);
+  v("distributed", r.distributed);
+  v("fleet", r.fleet);
+  // Shapes only the PlanError of a failed search, never the plan.
+  v("probe_feasible_batch", r.probe_feasible_batch, Unkeyed{});
+  // Patience, not content: a limit decides whether the deterministic
+  // search finishes, never what it produces (DESIGN.md §11).
+  v("limits", r.limits, Unkeyed{});
+}
+
+// ---------------------------------------------------------------------------
+// JSON sinks.
+// ---------------------------------------------------------------------------
+
+/// Writes a field list as the members of the JSON object being written.
+class JsonOut {
+ public:
+  explicit JsonOut(util::json::Writer& w) : w_(w) {}
+
+  template <class T>
+  void operator()(const char* key, const T& x) {
+    w_.key(key);
+    put(x);
+  }
+  template <class T>
+  void operator()(const char* key, const T& x, Unkeyed) {
+    (*this)(key, x);
+  }
+  void operator()(const char* key, int x, SchemaVersion) { (*this)(key, x); }
+  template <class T>
+  void operator()(const char*, const T& x, Inline) {
+    fields(*this, x);
+  }
+  template <class T>
+  void operator()(const char* key, const T& x, IfNotDefault) {
+    if (!(x == T{})) (*this)(key, x);
+  }
+  template <class E>
+  void operator()(const char* key, E x, Named<E> tag) {
+    w_.key(key);
+    w_.value(tag.name(x));
+  }
+  template <class E>
+  void operator()(const char* key, E x, Coded<E>) {
+    w_.key(key);
+    w_.value(static_cast<int>(x));
+  }
+  void operator()(const char* key, std::uint64_t x, DecimalText) {
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof digits, x).ptr;
+    w_.key(key);
+    w_.value(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+  }
+
+  void put(const std::string& s) { w_.value(std::string_view(s)); }
+  void put(bool b) { w_.value(b); }
+  void put(int x) { w_.value(x); }
+  void put(std::int64_t x) { w_.value(x); }
+  void put(double x) { w_.value(x); }
+  void put(const graph::TensorShape& shape) {
+    w_.begin_array();
+    for (const std::int64_t d : shape.dims()) w_.value(d);
+    w_.end_array();
+  }
+  void put(const SkipEdges& skips) {
+    w_.begin_array();
+    skips.for_each([&](int from, int to) {
+      w_.begin_array();
+      w_.value(from);
+      w_.value(to);
+      w_.end_array();
+    });
+    w_.end_array();
+  }
+  template <class T>
+  void put(const std::vector<T>& xs) {
+    w_.begin_array();
+    for (const T& x : xs) put(x);
+    w_.end_array();
+  }
+  template <class T>
+  void put(const std::optional<T>& x) {
+    if (x) put(*x);
+    else w_.null();
+  }
+  /// Any other type is an object of its own field list.
+  template <class T>
+  void put(const T& x) {
+    w_.begin_object();
+    fields(*this, x);
+    w_.end_object();
+  }
+
+ private:
+  util::json::Writer& w_;
+};
+
+/// Reads a field list from the members of a parsed JSON object. Throws
+/// std::runtime_error (or the std::invalid_argument of a bad shape, or the
+/// std::logic_error of Model::validate) on malformed input; each entry
+/// point maps that to its own structured PlanError.
+class JsonIn {
+ public:
+  explicit JsonIn(const util::json::Value& object) : object_(object) {}
+
+  template <class T>
+  void operator()(const char* key, T& x) {
+    get(object_.at(key), x, key);
+  }
+  template <class T>
+  void operator()(const char* key, T& x, Unkeyed) {
+    (*this)(key, x);
+  }
+  void operator()(const char* key, const int& expected, SchemaVersion) {
+    const std::int64_t version = object_.at(key).as_int();
+    if (version != expected)
+      throw std::runtime_error("unsupported schema version " +
+                               std::to_string(version));
+  }
+  template <class T>
+  void operator()(const char*, T& x, Inline) {
+    fields(*this, x);
+  }
+  template <class T>
+  void operator()(const char* key, T& x, IfNotDefault) {
+    if (object_.has(key)) (*this)(key, x);
+  }
+  template <class E>
+  void operator()(const char* key, E& x, Named<E> tag) {
+    x = util::enum_from_name(object_.at(key).as_string(), tag.name, tag.last,
+                             key);
+  }
+  template <class E>
+  void operator()(const char* key, E& x, Coded<E> tag) {
+    const int i = util::json::as_int32(object_.at(key), key);
+    if (i < 0 || i > static_cast<int>(tag.last))
+      throw std::runtime_error(std::string(key) + " out of range");
+    x = static_cast<E>(i);
+  }
+  void operator()(const char* key, std::uint64_t& x, DecimalText) {
+    // Unsigned decimal digits only: from_chars takes no sign, space or
+    // base prefix for an unsigned type, and reports overflow.
+    const std::string& s = object_.at(key).as_string();
+    const char* end = s.data() + s.size();
+    const auto [stop, ec] = std::from_chars(s.data(), end, x);
+    if (ec != std::errc() || stop != end)
+      throw std::runtime_error("bad " + std::string(key) + " '" + s + "'");
+  }
+
+ private:
+  void get(const util::json::Value& v, graph::TensorShape& shape,
+           const char*) {
+    std::vector<std::int64_t> dims;
+    for (const auto& d : v.as_array()) dims.push_back(d.as_int());
+    shape = dims.empty() ? graph::TensorShape()
+                         : graph::TensorShape(std::move(dims));
+  }
+  void get(const util::json::Value& v, SkipPairs& skips, const char*) {
+    skips.clear();
+    for (const auto& edge : v.as_array()) {
+      if (edge.as_array().size() != 2)
+        throw std::runtime_error("bad skip edge");
+      skips.push_back({util::json::as_int32(edge.array[0], "skip.from"),
+                       util::json::as_int32(edge.array[1], "skip.to")});
+    }
+  }
+  template <class T>
+  void get(const util::json::Value& v, std::vector<T>& xs, const char* key) {
+    xs.clear();
+    for (const auto& element : v.as_array())
+      get(element, xs.emplace_back(), key);
+  }
+  template <class T>
+  void get(const util::json::Value& v, std::optional<T>& x, const char* key) {
+    if (v.is_null()) x.reset();
+    else get(v, x.emplace(), key);
+  }
+  /// A scalar, or else an object of its own field list.
+  template <class T>
+  void get(const util::json::Value& v, T& x, const char* key) {
+    if constexpr (std::is_same_v<T, std::string>) x = v.as_string();
+    else if constexpr (std::is_same_v<T, bool>) x = v.as_bool();
+    else if constexpr (std::is_same_v<T, int>) x = util::json::as_int32(v, key);
+    else if constexpr (std::is_same_v<T, std::int64_t>) x = v.as_int();
+    else if constexpr (std::is_same_v<T, double>) x = v.as_double();
+    else {
+      JsonIn in(v);
+      fields(in, x);
+    }
+  }
+
+  const util::json::Value& object_;
+};
+
+/// `x` as one JSON object of its field list.
+template <class T>
+void write_object(util::json::Writer& w, const T& x) {
+  JsonOut(w).put(x);
+}
+
+/// Reads `x` from one JSON object of its field list.
+template <class T>
+void read_object(const util::json::Value& v, T& x) {
+  JsonIn in(v);
+  fields(in, x);
+}
+
+}  // namespace karma::api

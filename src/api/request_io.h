@@ -1,16 +1,13 @@
 // PlanRequest / PlanError artifact serialization — the wire half of the
 // karma-pland protocol (DESIGN.md §12).
 //
-// plan_io gave Plan a deterministic JSON form; request_io completes the
-// triangle so a planning exchange can cross a process boundary:
-//
-//   request_to_json / request_from_json — a PlanRequest round-trips with
-//       its cache identity intact: cache::request_key(parse(serialize(r)))
-//       == cache::request_key(r), bit for bit. The schema covers exactly
-//       the fields the fingerprint covers (model graph, device, planner
-//       knobs, optimizer, distributed) plus the fingerprint-excluded
-//       delivery fields (search limits, probe_feasible_batch) that a
-//       remote server still needs to honor.
+//   request_to_json / request_from_json — the JSON writer and reader
+//       derived from the request's field lists (src/api/request_fields.h),
+//       the same lists cache::request_key streams. So the schema carries
+//       every keyed field plus the Unkeyed delivery fields (search limits,
+//       probe_feasible_batch) a remote server still needs to honor, and a
+//       round trip keeps the cache identity bit for bit:
+//       cache::request_key(parse(serialize(r))) == cache::request_key(r).
 //   error_to_json / error_from_json — a structured PlanError round-trips
 //       including its attached partial plan (embedded as a nested v2 plan
 //       artifact via Writer::raw, so the bytes match a standalone

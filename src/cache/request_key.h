@@ -1,38 +1,24 @@
 // Content-addressed keying of PlanRequests (DESIGN.md §10).
 //
-// PR 2 made planning pure: a PlanRequest is a value, Session::plan() is a
-// deterministic function of it, and the Plan artifact serializes
-// byte-stably. That makes planning cacheable — IF requests can be keyed
-// by content. RequestKey is that key: every request field that influences
-// the produced plan, streamed as canonical binary words into
-// util::Hasher128 and finished to a 128-bit digest. No text is built.
+// Planning is pure: Session::plan() is a deterministic function of a
+// PlanRequest, and the Plan artifact serializes byte-stably. RequestKey
+// keys a request by content: its keyed fields, streamed as canonical
+// binary words into util::Hasher128 and finished to a 128-bit digest. No
+// text is built.
 //
-// Canonicalization rules (key stream format version 5):
-//   - fields are written in one fixed order by code structure (no
-//     reflection, no map iteration — the same discipline as plan_io);
-//   - each field is little-endian 8-byte words: integers, bools and enums
-//     as int64, doubles as their IEEE-754 bit pattern (bit-exact);
-//   - strings, shapes, succ lists, the layer list and the fleet node list
-//     are length-prefixed, and optionals carry a presence word, so no
-//     value can fake a delimiter and the stream parses back uniquely;
-//   - model edges come from Model::succs(), which the builder keeps
-//     sorted ascending, so edge *insertion* order cannot leak in;
-//   - the format version and the plan JSON schema version open the
-//     stream: bumping either invalidates every existing key. Version 5
-//     replaced version 4's text fingerprint and FNV-1a hash, so disk
-//     entries written under version 4 are misses.
+// The fields and their order come from the request's field lists
+// (src/api/request_fields.h), the same lists the wire JSON is derived
+// from, so every listed field is keyed unless its line is tagged Unkeyed.
+// The word format is documented at KeyWriter in request_key.cpp (stream
+// format version 6). The format version and the plan JSON schema version
+// open the stream: bumping either invalidates every existing key.
 //
-// Deliberately EXCLUDED from the key:
-//   - PlanRequest::probe_feasible_batch — it shapes the PlanError on the
-//     failure path only, never the artifact a success produces;
-//   - PlanRequest::limits (deadline / candidate budget) — patience, not
-//     content: a limit decides whether the deterministic search finishes,
-//     never what it produces, and an interrupted search is never cached —
-//     so bounded requests share flights and cache entries with unbounded
-//     ones (DESIGN.md §11);
-//   - DistributedOptions::planner — Session documents that the embedded
-//     copy is superseded by PlanRequest::planner (the facade has exactly
-//     one set of planner knobs).
+// Tagged Unkeyed, and so excluded: PlanRequest::probe_feasible_batch,
+// which shapes only the PlanError of a failed search, and
+// PlanRequest::limits — patience, not content: a limit decides whether
+// the deterministic search finishes, never what it produces, and an
+// interrupted search is never cached, so bounded requests share flights
+// and cache entries with unbounded ones (DESIGN.md §11).
 #pragma once
 
 #include <string>

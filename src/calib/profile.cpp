@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/tier/hierarchy.h"
+#include "src/util/enum_names.h"
 #include "src/util/json.h"
 
 namespace karma::calib {
@@ -23,9 +24,7 @@ const char* cost_kind_name(CostKind kind) {
 }
 
 std::optional<CostKind> cost_kind_from(std::string_view name) {
-  for (const CostKind kind : kAllCostKinds)
-    if (name == cost_kind_name(kind)) return kind;
-  return std::nullopt;
+  return util::enum_from_name(name, cost_kind_name, CostKind::kCpuUpdate);
 }
 
 std::string ProfileArtifact::to_json() const {

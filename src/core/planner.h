@@ -50,6 +50,11 @@ struct SearchInterrupted {
   StopReason reason = StopReason::kCancelled;
 };
 
+/// Widest anneal portfolio a request may ask for. Each worker is a
+/// thread, so Engine rejects anneal_workers outside [1, kMaxAnnealWorkers]
+/// as an invalid request instead of spawning them.
+inline constexpr int kMaxAnnealWorkers = 64;
+
 struct PlannerOptions {
   bool enable_recompute = true;  ///< false = pure capacity-based KARMA
   int min_blocks = 2;

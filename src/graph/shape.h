@@ -16,9 +16,15 @@ namespace karma::graph {
 class TensorShape {
  public:
   TensorShape() = default;
+  /// Throws std::invalid_argument on a non-positive dim, or when the
+  /// element count overflows int64 (so numel() never can).
   explicit TensorShape(std::vector<std::int64_t> dims) : dims_(std::move(dims)) {
-    for (auto d : dims_)
+    std::int64_t numel = 1;
+    for (auto d : dims_) {
       if (d <= 0) throw std::invalid_argument("TensorShape: non-positive dim");
+      if (__builtin_mul_overflow(numel, d, &numel))
+        throw std::invalid_argument("TensorShape: element count overflows");
+    }
   }
 
   /// NCHW convenience constructor.

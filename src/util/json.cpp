@@ -103,6 +103,11 @@ bool Value::as_bool() const {
   return boolean;
 }
 
+const std::vector<Value>& Value::as_array() const {
+  if (type != Type::kArray) throw std::runtime_error("expected array");
+  return array;
+}
+
 int as_int32(const Value& v, const char* what) {
   const std::int64_t x = v.as_int();
   if (x < INT_MIN || x > INT_MAX)

@@ -117,6 +117,7 @@ struct Value {
   double as_double() const;
   const std::string& as_string() const;
   bool as_bool() const;
+  const std::vector<Value>& as_array() const;
   bool is_null() const { return type == Type::kNull; }
 };
 

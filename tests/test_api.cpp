@@ -228,6 +228,28 @@ TEST(Session, EmptyModelIsInvalidRequest) {
   EXPECT_EQ(planned.error().code, PlanErrorCode::kInvalidRequest);
 }
 
+TEST(Session, AnnealWorkersOutsideTheCapAreAnInvalidRequest) {
+  // try_cached validates and never searches, so no worker is spawned
+  // whatever the count: an out-of-range width must fail validation, not
+  // fall through to a miss that would later start that many threads.
+  const auto engine = Engine::create();
+  for (const int workers : {0, -3, core::kMaxAnnealWorkers + 1, 2000000000}) {
+    PlanRequest request;
+    request.model = chain_model(4, 8, 64);
+    request.device = sim::v100_abci();
+    request.planner.anneal_workers = workers;
+    const auto cached = engine->try_cached(request);
+    ASSERT_TRUE(cached.has_value()) << workers;
+    ASSERT_FALSE(cached->has_value()) << workers;
+    EXPECT_EQ(cached->error().code, PlanErrorCode::kInvalidRequest) << workers;
+  }
+  PlanRequest widest;
+  widest.model = chain_model(4, 8, 64);
+  widest.device = sim::v100_abci();
+  widest.planner.anneal_workers = core::kMaxAnnealWorkers;
+  EXPECT_FALSE(engine->try_cached(widest).has_value());  // a plain miss
+}
+
 TEST(Session, SingleLayerOverflowNamesLayerBlockAndDeficit) {
   PlanRequest request;
   // One FC layer's activations (~16 MiB with allocator overhead) dwarf the

@@ -217,10 +217,10 @@ TEST(RequestKey, ValuesCannotImpersonateDelimiters) {
   EXPECT_NE(keyed(model("a", "b", graph::TensorShape({2, 3}))),
             keyed(model("a", "b", graph::TensorShape({23}))));
 
-  // Succ lists {1,2},{2},{3} vs {1},{2,3},{3}: one skip edge moved to the
-  // next list. (Consecutive layers are always linked, so a valid model
-  // cannot split one flattened id sequence two ways; this is the
-  // nearest admissible pair.)
+  // Skip pair (0,2) vs (1,3): one skip edge moved by one layer. Each
+  // pair is two fixed words after a count word, so the pairs cannot be
+  // split two ways. (Consecutive layers are always linked and never
+  // listed, so this is the nearest admissible pair.)
   const auto skipped = [](int from, int to) {
     graph::Model m = chain_model(3, 4, 8, "skips");
     m.add_edge(from, to);
