@@ -17,8 +17,8 @@
 namespace karma::bench {
 namespace {
 
-std::optional<core::PlanResult> plan_on(const graph::Model& model,
-                                        const sim::DeviceSpec& device) {
+std::optional<api::Plan> plan_on(const graph::Model& model,
+                                 const sim::DeviceSpec& device) {
   api::PlanRequest request;
   request.model = model;
   request.device = device;
@@ -27,7 +27,7 @@ std::optional<core::PlanResult> plan_on(const graph::Model& model,
   request.probe_feasible_batch = false;  // refusal is part of the figure
   const auto plan = api::Engine::create()->session().plan(request);
   if (!plan) return std::nullopt;
-  return plan->to_plan_result();
+  return plan.value();
 }
 
 int run() {
@@ -83,7 +83,7 @@ int run() {
       continue;
     }
     const auto violations =
-        sim::check_trace_invariants(tiered->plan, tiered->trace);
+        sim::check_trace_invariants(tiered->schedule, tiered->trace);
     if (!violations.empty()) {
       std::printf("TRACE VIOLATION (batch %lld): %s\n",
                   static_cast<long long>(batch), violations[0].c_str());

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -407,6 +408,14 @@ Bytes derive_reserved_host(const PlanRequest& request) {
          request.optimizer.host_state_bytes(total.weights);
 }
 
+/// True when the product of `factors` fits in int64.
+bool bytes_fit(std::initializer_list<std::int64_t> factors) {
+  std::int64_t product = 1;
+  for (const std::int64_t f : factors)
+    if (__builtin_mul_overflow(product, f, &product)) return false;
+  return true;
+}
+
 std::optional<PlanError> validate(const PlanRequest& request) {
   const std::string& model = request.model.name();
   const std::string& device = request.device.name;
@@ -423,6 +432,28 @@ std::optional<PlanError> validate(const PlanRequest& request) {
     return invalid("request has an empty model", "", device);
   if (request.device.memory_capacity <= 0)
     return invalid("device has no memory capacity", model, "");
+  // The memory model prices every layer in int64 bytes: a wire shape or
+  // dtype whose byte count overflows must stop here, not wrap there.
+  const std::int64_t dtype = request.model.dtype_bytes();
+  if (dtype < 1)
+    return invalid("model dtype_bytes must be >= 1", model, device);
+  for (const graph::Layer& layer : request.model.layers()) {
+    if (layer.weight_elems < 0)
+      return invalid("layer '" + layer.name + "' has negative weight_elems",
+                     model, device);
+    if (!bytes_fit({layer.weight_elems, dtype}) ||
+        !bytes_fit({layer.out_shape.numel(), dtype}))
+      return invalid("layer '" + layer.name + "' byte count overflows int64",
+                     model, device);
+    // Attention scores: batch * heads * S * S, materialized.
+    const graph::TensorShape& in = layer.in_shape;
+    if (layer.kind == graph::LayerKind::kSelfAttention && in.rank() == 3 &&
+        !bytes_fit({in.batch(), std::max<std::int64_t>(layer.heads, 1),
+                    in.dim(1), in.dim(1), dtype}))
+      return invalid("layer '" + layer.name +
+                         "' attention scores overflow int64 bytes",
+                     model, device);
+  }
   // Each anneal worker is a thread: a request must not ask for thousands.
   if (request.planner.anneal_workers < 1 ||
       request.planner.anneal_workers > core::kMaxAnnealWorkers)

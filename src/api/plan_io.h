@@ -8,6 +8,11 @@
 // as a golden fixture format: any schema or planner-output drift shows up
 // as a textual diff.
 //
+// The writer and the reader are derived from one field list per type
+// (src/api/request_fields.h): the plan, its schedule, ops, block costs,
+// storage tiers, exchange phases and fleet placement. The reader rejects
+// a missing or wrong-typed field, then runs each artifact's cross-field
+// checks (after_read in plan_io.cpp) before a plan can reach the engine.
 // No third-party JSON dependency: the writer and parser live in
 // src/util/json. The schema is versioned; readers reject versions they do
 // not understand instead of misinterpreting them.
@@ -46,8 +51,10 @@ Expected<Plan, PlanError> plan_from_json(std::string_view json);
 /// plan_to_json.
 std::string placement_to_json(const place::PlacementPlan& placement);
 
-/// Parses a placement artifact back; throws std::runtime_error on
-/// malformed input (callers inside plan_from_json map it to kParseError).
-place::PlacementPlan placement_from_json(std::string_view json);
+/// Parses a placement artifact back. Returns PlanError{kParseError} on
+/// malformed input, an unknown schema version, or an owner or straggler
+/// index outside the node list.
+Expected<place::PlacementPlan, PlanError> placement_from_json(
+    std::string_view json);
 
 }  // namespace karma::api

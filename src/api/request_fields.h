@@ -1,38 +1,46 @@
-// One field list per PlanRequest component, and the JSON sinks derived
-// from it (DESIGN.md §10, §12).
+// One field list per request and plan-side type, and the JSON sinks
+// derived from it (DESIGN.md §8, §10, §12, §16).
 //
-// Each component type has one `fields(v, x)` template that names every
-// field once, in wire order: `v("json_name", x.member)`, plus a tag when
-// the type alone does not say how the field travels. A sink is any
-// callable the list is run against:
+// Each type has one `fields(v, x)` template that names every field once,
+// in wire order: `v("json_name", x.member)`, plus a tag when the type
+// alone does not say how the field travels. A sink is any callable the
+// list is run against:
 //   - JsonOut writes the fields as one JSON object's members;
 //   - JsonIn reads them back from a parsed DOM object, with every check
-//     (int narrowing, enum ranges, the strict unsigned seed, the fleet
-//     schema version, Model::validate);
-//   - cache::request_key's key writer streams the keyed fields as binary
-//     words (src/cache/request_key.cpp).
+//     (the JSON type of each field, int narrowing, enum ranges, the strict
+//     unsigned seed, schema versions, Model::validate, and the cross-field
+//     checks of `after_read`);
+//   - cache::request_key's key writer streams the keyed fields of a
+//     request as binary words (src/cache/request_key.cpp).
 // The same list drives all three, so a field added to a list is written,
 // read and keyed without further code, and "every plan-affecting field is
-// keyed" holds by construction. The lists are templates over the sink, so
-// there is no virtual dispatch and no per-field allocation. A list takes
-// `const T` for the writers and `T` for the reader.
+// keyed" holds by construction. The plan-side lists (the plan artifact,
+// its placement, PlanError) are written and read, never keyed. The lists
+// are templates over the sink, so there is no virtual dispatch and no
+// per-field allocation. A list takes `const T` for the writers and `T` for
+// the reader.
 //
-// Deliberately absent from every list: Layer::id (add_layer assigns it),
-// PlannerOptions::reference_engine_loop (both event loops replay
-// bit-identically, so it cannot change a plan) and
-// DistributedOptions::planner (PlanRequest::planner supersedes it).
+// Deliberately absent from every list: Layer::id (the Model constructor
+// assigns it), PlannerOptions::reference_engine_loop (both event loops
+// replay bit-identically, so it cannot change a plan),
+// DistributedOptions::planner (PlanRequest::planner supersedes it), and
+// the plan's transient trace records and search stats.
 #pragma once
 
 #include <array>
 #include <charconv>
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "src/api/plan_io.h"
 #include "src/api/session.h"
 #include "src/util/enum_names.h"
 #include "src/util/json.h"
@@ -48,9 +56,10 @@ namespace karma::api {
 struct Unkeyed {};
 /// The member's own field list is spliced into the enclosing object.
 struct Inline {};
-/// An object group that is omitted while it equals its default, so
-/// identity overlays leave artifacts and goldens byte-unchanged. The key
-/// writes a presence word instead.
+/// A member that is omitted while it equals its default (an optional:
+/// while it is empty), so identity overlays and non-fleet plans leave
+/// artifacts and goldens byte-unchanged. The key writes a presence word
+/// instead.
 struct IfNotDefault {};
 /// A uint64 sent as decimal text: JSON integers here are int64.
 struct DecimalText {};
@@ -68,8 +77,26 @@ struct Coded {
   E last;
 };
 
+/// A nested object of members the list names in place, drawn from the
+/// enclosing type: `v("model", Group{[&](auto& g) { g("name", ...); }})`.
+template <class F>
+struct Group {
+  F members;
+};
+
 template <class T, class U>
 concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+/// Types sent as a two-element JSON array `[first, second]` instead of an
+/// object: a block's layer range and a skip edge.
+template <Is<sim::Block> B>
+auto pair_of(B& b) {
+  return std::tie(b.first_layer, b.last_layer);
+}
+template <Is<std::array<int, 2>> A>
+auto pair_of(A& a) {
+  return std::tie(a[0], a[1]);
+}
 
 // ---------------------------------------------------------------------------
 // Field lists.
@@ -107,10 +134,10 @@ struct SkipEdges {
 /// Skip edges as read back, before they are added to the model.
 using SkipPairs = std::vector<std::array<int, 2>>;
 
-/// A Model is built through add_layer/add_edge rather than assigned
-/// member by member, so its list visits its parts: a ModelView of a const
-/// model for the writers, or for the reader (and any other editing
-/// visitor) ModelParts, a copy the model is then rebuilt from.
+/// A Model is built through its constructor and add_edge rather than
+/// assigned member by member, so its list visits its parts: a ModelView of
+/// a const model for the writers, or for the reader (and any other editing
+/// visitor) ModelParts, which the model then adopts.
 template <class V, class P>
 void model_fields(V& v, P& p) {
   v("name", p.name);
@@ -150,9 +177,9 @@ void fields(V& v, graph::Model& m) {
   SkipEdges{m}.for_each(
       [&](int from, int to) { parts.skips.push_back({from, to}); });
   model_fields(v, parts);
-  m = graph::Model(std::move(parts.name), parts.dtype_bytes);
+  m = graph::Model(std::move(parts.name), parts.dtype_bytes,
+                   std::move(parts.layers));
   m.set_activation_memory_scale(parts.act_scale);
-  for (graph::Layer& layer : parts.layers) m.add_layer(std::move(layer));
   for (const auto& [from, to] : parts.skips) m.add_edge(from, to);
   m.validate();
 }
@@ -285,6 +312,167 @@ void fields(V& v, R& r) {
 }
 
 // ---------------------------------------------------------------------------
+// Plan-side field lists: the plan artifact, its fleet placement and the
+// PlanError envelope (DESIGN.md §8, §16).
+// ---------------------------------------------------------------------------
+
+template <class V, Is<sim::BlockCost> C>
+void fields(V& v, C& c) {
+  v("fwd_time", c.fwd_time);
+  v("bwd_time", c.bwd_time);
+  v("act_bytes", c.act_bytes);
+  v("boundary_bytes", c.boundary_bytes);
+  v("param_bytes", c.param_bytes);
+  v("grad_bytes", c.grad_bytes);
+}
+
+/// A StorageHierarchy travels as the array of its tiers and is rebuilt
+/// through its constructor, which checks their order and capacities.
+template <class V, Is<tier::TierSpec> T>
+void fields(V& v, T& t) {
+  v("tier", t.tier, Named{tier::tier_name, tier::Tier::kNvme});
+  v("capacity", t.capacity);
+  v("read_bw", t.read_bw);
+  v("write_bw", t.write_bw);
+  v("latency", t.latency);
+}
+
+template <class V, Is<sim::Op> O>
+void fields(V& v, O& op) {
+  v("kind", op.kind, Named{sim::op_kind_name, sim::OpKind::kDeviceUpdate});
+  v("block", op.block);
+  v("tier", op.tier, Named{tier::tier_name, tier::Tier::kNvme});
+  v("residency", op.residency,
+    Named{tier::residency_name, tier::Residency::kOptimizerState});
+  v("bytes", op.bytes);
+  v("alloc", op.alloc);
+  v("free", op.free);
+  v("duration", op.duration);
+  v("retains", op.retains);
+  v("iteration", op.iteration);
+  v("after_op", op.after_op);
+}
+
+template <class V, Is<sim::Plan> P>
+void fields(V& v, P& p) {
+  v("strategy", p.strategy);
+  v("capacity", p.capacity);
+  v("baseline_resident", p.baseline_resident);
+  v("host_baseline_resident", p.host_baseline_resident);
+  v("blocks", p.blocks);
+  v("costs", p.costs);
+  v("hierarchy", p.hierarchy);
+  v("ops", p.ops);
+  v("stage_of", p.stage_of);
+}
+
+/// An ExchangePlan travels as the array of its phases.
+template <class V, Is<net::ExchangePhase> E>
+void fields(V& v, E& e) {
+  v("launch_after_block", e.launch_after_block);
+  v("blocks", e.blocks);
+  v("bytes", e.bytes);
+  v("allreduce_time", e.allreduce_time);
+}
+
+/// Placement artifact schema version, independent of the plan schema
+/// (placement_to_json is also a standalone fixture format).
+inline constexpr int kPlacementJsonVersion = 1;
+
+template <class V, Is<place::NodeSummary> N>
+void fields(V& v, N& n) {
+  v("name", n.name);
+  v("device_name", n.device_name);
+  v("owned_blocks", n.owned_blocks);
+  v("owned_param_bytes", n.owned_param_bytes);
+  v("owned_grad_bytes", n.owned_grad_bytes);
+  v("reserved_host_bytes", n.reserved_host_bytes);
+  v("plan_iteration_time", n.plan_iteration_time);
+  v("exchange_tail", n.exchange_tail);
+  v("update_time", n.update_time);
+  v("total_time", n.total_time);
+  v("warm_started", n.warm_started);
+}
+
+template <class V, Is<place::PlacementPlan> P>
+void fields(V& v, P& p) {
+  v("version", kPlacementJsonVersion, SchemaVersion{});
+  v("strategy", p.strategy,
+    Named{place::placement_strategy_name,
+          place::PlacementStrategy::kRoundRobin});
+  v("blocks", p.blocks);
+  v("owner", p.owner);
+  v("nodes", p.nodes);
+  v("straggler", p.straggler);
+  v("iteration_time", p.iteration_time);
+}
+
+template <class V, Is<Plan> P>
+void fields(V& v, P& p) {
+  v("version", kPlanJsonVersion, SchemaVersion{});
+  v("model", Group{[&](auto& g) {
+      g("name", p.model_name);
+      g("batch", p.batch);
+      g("layers", p.model_layers);
+    }});
+  v("device", p.device);
+  v("schedule", p.schedule);
+  v("policies", p.policies,
+    Named{core::block_policy_name, core::BlockPolicy::kSwapNvme});
+  // Only the trace's scalar metrics travel; simulate() regenerates the
+  // per-op records deterministically.
+  v("metrics", Group{[&](auto& g) {
+      g("iteration_time", p.iteration_time);
+      g("first_iteration_time", p.first_iteration_time);
+      g("occupancy", p.occupancy);
+      g("makespan", p.trace.makespan);
+      g("peak_resident", p.trace.peak_resident);
+      g("peak_host_resident", p.trace.peak_host_resident);
+      g("peak_nvme_resident", p.trace.peak_nvme_resident);
+    }});
+  v("reserved_host_bytes", p.reserved_host_bytes);
+  v("distributed", p.distributed);
+  v("weights_resident", p.weights_resident);
+  v("exchange", p.exchange);
+  // Trailing and absent for every non-fleet plan, so those keep their
+  // exact v2 bytes (cache entries, goldens).
+  v("fleet", p.placement, IfNotDefault{});
+}
+
+template <class V, Is<TierDeficit> D>
+void fields(V& v, D& d) {
+  v("tier", d.tier, Named{tier::tier_name, tier::Tier::kNvme});
+  v("required", d.required);
+  v("capacity", d.capacity);
+}
+
+template <class V, Is<PlanError> E>
+void fields(V& v, E& e) {
+  v("code", e.code, Named{plan_error_code_name, PlanErrorCode::kUnavailable});
+  v("message", e.message);
+  v("model", e.model);
+  v("device", e.device);
+  v("violating_layer", e.violating_layer);
+  v("violating_block", e.violating_block);
+  v("deficits", e.deficits);
+  v("nearest_feasible_batch", e.nearest_feasible_batch);
+  v("probe_candidates", e.probe_candidates);
+  v("probe_cache_hits", e.probe_cache_hits);
+  v("from_negative_cache", e.from_negative_cache);
+  v("retry_after", e.retry_after);
+  // A nested plan object: the same bytes as the plan's own to_json().
+  v("partial", e.partial);
+}
+
+/// The cross-field checks a reader runs once an artifact's own fields are
+/// read (src/api/plan_io.cpp). Each throws std::runtime_error naming the
+/// broken invariant; every other type has none.
+void after_read(const Plan& plan);
+void after_read(const place::PlacementPlan& placement);
+template <class T>
+void after_read(const T&) {}
+
+// ---------------------------------------------------------------------------
 // JSON sinks.
 // ---------------------------------------------------------------------------
 
@@ -311,10 +499,28 @@ class JsonOut {
   void operator()(const char* key, const T& x, IfNotDefault) {
     if (!(x == T{})) (*this)(key, x);
   }
+  template <class T>
+  void operator()(const char* key, const std::optional<T>& x, IfNotDefault) {
+    if (x) (*this)(key, *x);
+  }
+  template <class F>
+  void operator()(const char* key, const Group<F>& group) {
+    w_.key(key);
+    w_.begin_object();
+    group.members(*this);
+    w_.end_object();
+  }
   template <class E>
   void operator()(const char* key, E x, Named<E> tag) {
     w_.key(key);
     w_.value(tag.name(x));
+  }
+  template <class E>
+  void operator()(const char* key, const std::vector<E>& xs, Named<E> tag) {
+    w_.key(key);
+    w_.begin_array();
+    for (const E x : xs) w_.value(tag.name(x));
+    w_.end_array();
   }
   template <class E>
   void operator()(const char* key, E x, Coded<E>) {
@@ -333,21 +539,15 @@ class JsonOut {
   void put(int x) { w_.value(x); }
   void put(std::int64_t x) { w_.value(x); }
   void put(double x) { w_.value(x); }
-  void put(const graph::TensorShape& shape) {
-    w_.begin_array();
-    for (const std::int64_t d : shape.dims()) w_.value(d);
-    w_.end_array();
-  }
+  void put(const graph::TensorShape& shape) { put(shape.dims()); }
   void put(const SkipEdges& skips) {
     w_.begin_array();
-    skips.for_each([&](int from, int to) {
-      w_.begin_array();
-      w_.value(from);
-      w_.value(to);
-      w_.end_array();
-    });
+    skips.for_each(
+        [&](int from, int to) { put(std::array<int, 2>{from, to}); });
     w_.end_array();
   }
+  void put(const tier::StorageHierarchy& h) { put(h.tiers()); }
+  void put(const net::ExchangePlan& e) { put(e.phases); }
   template <class T>
   void put(const std::vector<T>& xs) {
     w_.begin_array();
@@ -359,22 +559,36 @@ class JsonOut {
     if (x) put(*x);
     else w_.null();
   }
-  /// Any other type is an object of its own field list.
+  template <class T>
+  void put(const std::shared_ptr<const T>& x) {
+    if (x) put(*x);
+    else w_.null();
+  }
+  /// Any other type is a pair, or else an object of its own field list.
   template <class T>
   void put(const T& x) {
-    w_.begin_object();
-    fields(*this, x);
-    w_.end_object();
+    if constexpr (requires { pair_of(x); }) {
+      const auto [first, second] = pair_of(x);
+      w_.begin_array();
+      put(first);
+      put(second);
+      w_.end_array();
+    } else {
+      w_.begin_object();
+      fields(*this, x);
+      w_.end_object();
+    }
   }
 
  private:
   util::json::Writer& w_;
 };
 
-/// Reads a field list from the members of a parsed JSON object. Throws
-/// std::runtime_error (or the std::invalid_argument of a bad shape, or the
-/// std::logic_error of Model::validate) on malformed input; each entry
-/// point maps that to its own structured PlanError.
+/// Reads a field list from the members of a parsed JSON object. A field of
+/// the wrong JSON type is an error, never a default. Throws
+/// std::runtime_error (or the std::invalid_argument of a bad shape or
+/// hierarchy, or the std::logic_error of Model::validate) on malformed
+/// input; each entry point maps that to its own structured PlanError.
 class JsonIn {
  public:
   explicit JsonIn(const util::json::Value& object) : object_(object) {}
@@ -401,10 +615,24 @@ class JsonIn {
   void operator()(const char* key, T& x, IfNotDefault) {
     if (object_.has(key)) (*this)(key, x);
   }
+  template <class T>
+  void operator()(const char* key, std::optional<T>& x, IfNotDefault) {
+    if (object_.has(key)) (*this)(key, x.emplace());
+  }
+  template <class F>
+  void operator()(const char* key, Group<F> group) {
+    JsonIn in(object_.at(key));
+    group.members(in);
+  }
   template <class E>
   void operator()(const char* key, E& x, Named<E> tag) {
-    x = util::enum_from_name(object_.at(key).as_string(), tag.name, tag.last,
-                             key);
+    x = named(object_.at(key), tag, key);
+  }
+  template <class E>
+  void operator()(const char* key, std::vector<E>& xs, Named<E> tag) {
+    xs.clear();
+    for (const auto& element : object_.at(key).as_array())
+      xs.push_back(named(element, tag, key));
   }
   template <class E>
   void operator()(const char* key, E& x, Coded<E> tag) {
@@ -423,7 +651,21 @@ class JsonIn {
       throw std::runtime_error("bad " + std::string(key) + " '" + s + "'");
   }
 
+  /// Reads `x` from `v`, one object of its field list, then runs its
+  /// cross-field checks.
+  template <class T>
+  static void read(const util::json::Value& v, T& x) {
+    JsonIn in(v);
+    fields(in, x);
+    after_read(x);
+  }
+
  private:
+  template <class E>
+  static E named(const util::json::Value& v, Named<E> tag, const char* key) {
+    return util::enum_from_name(v.as_string(), tag.name, tag.last, key);
+  }
+
   void get(const util::json::Value& v, graph::TensorShape& shape,
            const char*) {
     std::vector<std::int64_t> dims;
@@ -431,27 +673,40 @@ class JsonIn {
     shape = dims.empty() ? graph::TensorShape()
                          : graph::TensorShape(std::move(dims));
   }
-  void get(const util::json::Value& v, SkipPairs& skips, const char*) {
-    skips.clear();
-    for (const auto& edge : v.as_array()) {
-      if (edge.as_array().size() != 2)
-        throw std::runtime_error("bad skip edge");
-      skips.push_back({util::json::as_int32(edge.array[0], "skip.from"),
-                       util::json::as_int32(edge.array[1], "skip.to")});
-    }
+  void get(const util::json::Value& v, tier::StorageHierarchy& h,
+           const char* key) {
+    std::vector<tier::TierSpec> tiers;
+    get(v, tiers, key);
+    h = tier::StorageHierarchy(std::move(tiers));
+  }
+  void get(const util::json::Value& v, net::ExchangePlan& e,
+           const char* key) {
+    get(v, e.phases, key);
   }
   template <class T>
   void get(const util::json::Value& v, std::vector<T>& xs, const char* key) {
+    const auto& elements = v.as_array();
     xs.clear();
-    for (const auto& element : v.as_array())
-      get(element, xs.emplace_back(), key);
+    xs.reserve(elements.size());
+    for (const auto& element : elements) get(element, xs.emplace_back(), key);
   }
   template <class T>
   void get(const util::json::Value& v, std::optional<T>& x, const char* key) {
     if (v.is_null()) x.reset();
     else get(v, x.emplace(), key);
   }
-  /// A scalar, or else an object of its own field list.
+  template <class T>
+  void get(const util::json::Value& v, std::shared_ptr<const T>& x,
+           const char* key) {
+    if (v.is_null()) {
+      x.reset();
+    } else {
+      auto value = std::make_shared<T>();
+      get(v, *value, key);
+      x = std::move(value);
+    }
+  }
+  /// A scalar, a pair, or else an object of its own field list.
   template <class T>
   void get(const util::json::Value& v, T& x, const char* key) {
     if constexpr (std::is_same_v<T, std::string>) x = v.as_string();
@@ -459,26 +714,48 @@ class JsonIn {
     else if constexpr (std::is_same_v<T, int>) x = util::json::as_int32(v, key);
     else if constexpr (std::is_same_v<T, std::int64_t>) x = v.as_int();
     else if constexpr (std::is_same_v<T, double>) x = v.as_double();
-    else {
-      JsonIn in(v);
-      fields(in, x);
+    else if constexpr (requires { pair_of(x); }) {
+      const auto& items = v.as_array();
+      if (items.size() != 2)
+        throw std::runtime_error(std::string(key) + ": expected a pair");
+      auto [first, second] = pair_of(x);
+      get(items[0], first, key);
+      get(items[1], second, key);
+    } else {
+      read(v, x);
     }
   }
 
   const util::json::Value& object_;
 };
 
-/// `x` as one JSON object of its field list.
+/// `x` as JSON text: one object of its field list.
 template <class T>
-void write_object(util::json::Writer& w, const T& x) {
+std::string write_json(const T& x) {
+  util::json::Writer w;
   JsonOut(w).put(x);
+  return w.take();
 }
 
-/// Reads `x` from one JSON object of its field list.
+/// A PlanError{kParseError} naming the reader that failed and why.
+inline PlanError parse_error(const char* reader, const std::string& why) {
+  PlanError e;
+  e.code = PlanErrorCode::kParseError;
+  e.message = std::string(reader) + ": " + why;
+  return e;
+}
+
+/// Parses `json` as one object of T's field list; any failure is a
+/// parse_error naming `reader`.
 template <class T>
-void read_object(const util::json::Value& v, T& x) {
-  JsonIn in(v);
-  fields(in, x);
+Expected<T, PlanError> read_json(std::string_view json, const char* reader) {
+  try {
+    T x;
+    JsonIn::read(util::json::parse(json), x);
+    return x;
+  } catch (const std::exception& ex) {
+    return parse_error(reader, ex.what());
+  }
 }
 
 }  // namespace karma::api

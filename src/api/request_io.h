@@ -9,9 +9,10 @@
 //       round trip keeps the cache identity bit for bit:
 //       cache::request_key(parse(serialize(r))) == cache::request_key(r).
 //   error_to_json / error_from_json — a structured PlanError round-trips
-//       including its attached partial plan (embedded as a nested v2 plan
-//       artifact via Writer::raw, so the bytes match a standalone
-//       to_json() exactly).
+//       including its attached partial plan, derived from PlanError's
+//       field list like the request. The partial is a nested v2 plan
+//       object, the same bytes as a standalone to_json(), and it is read
+//       from the envelope's DOM with the plan's own checks.
 //
 // Like the plan schema, the request schema is versioned and readers
 // reject versions they do not understand.

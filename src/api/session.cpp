@@ -142,17 +142,6 @@ train::OocExecutor Plan::bind_executor(train::Sequential* net,
       reserved_host_bytes + schedule.host_baseline_resident);
 }
 
-core::PlanResult Plan::to_plan_result() const {
-  core::PlanResult r;
-  r.plan = schedule;
-  r.blocks = schedule.blocks;
-  r.policies = policies;
-  r.trace = trace;
-  r.iteration_time = iteration_time;
-  r.occupancy = occupancy;
-  return r;
-}
-
 // ---------------------------------------------------------------------------
 // Session — a handle onto an Engine. The planning pipeline itself
 // (validation, cache consult, single-flight, search, diagnosis) lives in

@@ -196,11 +196,6 @@ struct Plan {
   train::OocExecutor bind_executor(train::Sequential* net,
                                    Bytes pool_capacity,
                                    Bytes host_capacity = 0) const;
-
-  /// Legacy interop: view as the deprecated core::PlanResult (single-GPU
-  /// shape). Lets migrated call sites feed code still speaking the old
-  /// types during the shim window.
-  core::PlanResult to_plan_result() const;
 };
 
 /// Cache behavior of the Engine a Session speaks to (DESIGN.md §10, §11).

@@ -191,7 +191,14 @@ std::optional<PlanResult> plan_karma_via_session(const graph::Model& model,
   request.probe_feasible_batch = false;  // figure grids probe many cells
   const auto plan = api::Engine::create()->session().plan(request);
   if (!plan) return std::nullopt;
-  return plan->to_plan_result();
+  PlanResult result;
+  result.plan = plan->schedule;
+  result.blocks = plan->schedule.blocks;
+  result.policies = plan->policies;
+  result.trace = plan->trace;
+  result.iteration_time = plan->iteration_time;
+  result.occupancy = plan->occupancy;
+  return result;
 }
 
 }  // namespace

@@ -41,6 +41,22 @@ bool is_cheap_to_recompute(LayerKind kind) {
   }
 }
 
+Model::Model(std::string name, int dtype_bytes, std::vector<Layer> layers)
+    : name_(std::move(name)),
+      dtype_bytes_(dtype_bytes),
+      layers_(std::move(layers)),
+      preds_(layers_.size()),
+      succs_(layers_.size()) {
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const int id = static_cast<int>(i);
+    layers_[i].id = id;
+    if (id > 0) {
+      preds_[i].push_back(id - 1);
+      succs_[i - 1].push_back(id);
+    }
+  }
+}
+
 int Model::add_layer(Layer layer) {
   const int id = static_cast<int>(layers_.size());
   layer.id = id;
@@ -82,17 +98,14 @@ std::int64_t Model::total_weight_elems() const {
 }
 
 Model Model::with_batch_size(std::int64_t batch) const {
-  Model out(name_, dtype_bytes_);
-  out.act_scale_ = act_scale_;
-  for (const auto& l : layers_) {
-    Layer copy = l;
-    if (copy.in_shape.rank() > 0) copy.in_shape = copy.in_shape.with_batch(batch);
-    if (copy.out_shape.rank() > 0)
-      copy.out_shape = copy.out_shape.with_batch(batch);
-    copy.id = -1;  // re-assigned by add_layer
-    out.add_layer(std::move(copy));
+  std::vector<Layer> layers = layers_;
+  for (Layer& l : layers) {
+    if (l.in_shape.rank() > 0) l.in_shape = l.in_shape.with_batch(batch);
+    if (l.out_shape.rank() > 0) l.out_shape = l.out_shape.with_batch(batch);
   }
-  // Re-create explicit skip edges (add_layer already made chain edges).
+  Model out(name_, dtype_bytes_, std::move(layers));
+  out.act_scale_ = act_scale_;
+  // Re-create explicit skip edges (the constructor made the chain edges).
   for (std::size_t i = 0; i < succs_.size(); ++i)
     for (int s : succs_[i])
       if (s != static_cast<int>(i) + 1) out.add_edge(static_cast<int>(i), s);

@@ -19,6 +19,10 @@ class Model {
   Model(std::string name, int dtype_bytes = 4)
       : name_(std::move(name)), dtype_bytes_(dtype_bytes) {}
 
+  /// Adopts `layers` in order, without copying them: assigns their ids and
+  /// wires the chain edges, as add_layer would one by one.
+  Model(std::string name, int dtype_bytes, std::vector<Layer> layers);
+
   /// Appends a layer, auto-connecting it to the previous layer (unless it
   /// is the first). Returns the layer id.
   int add_layer(Layer layer);

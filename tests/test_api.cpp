@@ -1,7 +1,8 @@
 // karma::api::Session facade: parity with the legacy entry points,
 // deterministic JSON round-trips, executor binding, structured
-// infeasibility, the optimizer reserved-host pre-charge, and the golden
-// plan-format fixture (regenerate with KARMA_REGEN_GOLDEN=1 ./test_api).
+// infeasibility, the optimizer reserved-host pre-charge, the golden plan,
+// fleet-plan and error fixtures (regenerate with KARMA_REGEN_GOLDEN=1
+// ./test_api), and the totality of the plan-side decoders.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -9,11 +10,13 @@
 #include <sstream>
 
 #include "src/api/plan_io.h"
+#include "src/api/request_io.h"
 #include "src/api/engine.h"
 #include "src/core/distributed.h"
 #include "src/graph/memory_model.h"
 #include "src/graph/model_zoo.h"
 #include "src/train/synthetic.h"
+#include "src/util/json.h"
 
 namespace karma::api {
 namespace {
@@ -250,6 +253,53 @@ TEST(Session, AnnealWorkersOutsideTheCapAreAnInvalidRequest) {
   EXPECT_FALSE(engine->try_cached(widest).has_value());  // a plain miss
 }
 
+TEST(Session, ByteCountsThatOverflowInt64AreAnInvalidRequest) {
+  // The memory model prices layers in int64 bytes; validation must refuse
+  // what would overflow there. try_cached validates and never searches.
+  const auto engine = Engine::create();
+  const auto outcome = [&](int dtype_bytes, const graph::Layer& layer) {
+    graph::Layer input;
+    input.name = "input";
+    input.kind = graph::LayerKind::kInput;
+    input.in_shape = input.out_shape = graph::TensorShape({4, 8});
+    PlanRequest request;
+    request.model = graph::Model("overflow", dtype_bytes, {input, layer});
+    request.device = sim::test_device();
+    return engine->try_cached(request);
+  };
+  const auto is_invalid = [&](int dtype_bytes, const graph::Layer& layer) {
+    const auto o = outcome(dtype_bytes, layer);
+    return o && !o->has_value() &&
+           o->error().code == PlanErrorCode::kInvalidRequest;
+  };
+  graph::Layer fc;
+  fc.name = "fc";
+  fc.kind = graph::LayerKind::kFullyConnected;
+  fc.in_shape = fc.out_shape = graph::TensorShape({4, 8});
+  fc.weight_elems = 64;
+  EXPECT_FALSE(outcome(4, fc).has_value());  // valid: a plain miss
+
+  EXPECT_TRUE(is_invalid(0, fc));  // dtype_bytes < 1
+  graph::Layer negative = fc;
+  negative.weight_elems = -1;
+  EXPECT_TRUE(is_invalid(4, negative));
+  graph::Layer weights = fc;
+  weights.weight_elems = INT64_C(1) << 62;
+  EXPECT_TRUE(is_invalid(4, weights));
+  graph::Layer output = fc;
+  output.out_shape = graph::TensorShape({INT64_C(1) << 31, INT64_C(1) << 31});
+  EXPECT_TRUE(is_invalid(4, output));
+  graph::Layer attention;
+  attention.name = "attn";
+  attention.kind = graph::LayerKind::kSelfAttention;
+  attention.in_shape = attention.out_shape =
+      graph::TensorShape({1024, INT64_C(1) << 20, 64});
+  attention.heads = 1 << 12;  // 2^10 * 2^12 * 2^40 scores, 4 bytes each
+  EXPECT_TRUE(is_invalid(4, attention));
+  attention.heads = 1;
+  EXPECT_FALSE(outcome(4, attention).has_value());
+}
+
 TEST(Session, SingleLayerOverflowNamesLayerBlockAndDeficit) {
   PlanRequest request;
   // One FC layer's activations (~16 MiB with allocator overhead) dwarf the
@@ -450,34 +500,193 @@ Plan golden_plan() {
   return plan;
 }
 
-TEST(PlanIo, GoldenFixtureMatches) {
-  const std::string path =
-      std::string(KARMA_SOURCE_DIR) + "/tests/golden/plan_fixture.json";
-  const std::string actual = golden_plan().to_json();
+std::string golden_path(const std::string& name) {
+  return std::string(KARMA_SOURCE_DIR) + "/tests/golden/" + name;
+}
 
-  if (std::getenv("KARMA_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual << "\n";
-    GTEST_SKIP() << "regenerated golden fixture at " << path;
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden fixture " << path
+/// The committed fixture tests/golden/<name>, without its trailing newline.
+std::string golden_text(const std::string& name) {
+  std::ifstream in(golden_path(name));
+  EXPECT_TRUE(in.good())
+      << "missing golden fixture " << golden_path(name)
       << " — regenerate with KARMA_REGEN_GOLDEN=1 ./test_api";
   std::stringstream buffer;
   buffer << in.rdbuf();
-  std::string expected = buffer.str();
-  if (!expected.empty() && expected.back() == '\n') expected.pop_back();
+  std::string text = buffer.str();
+  if (!text.empty() && text.back() == '\n') text.pop_back();
+  return text;
+}
 
+/// Compares `actual` with the committed fixture `name` and returns the
+/// fixture's text. Under KARMA_REGEN_GOLDEN it rewrites the fixture
+/// instead and returns "".
+std::string check_golden(const std::string& name, const std::string& actual) {
+  if (std::getenv("KARMA_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path(name), std::ios::trunc);
+    EXPECT_TRUE(out.good()) << "cannot write " << golden_path(name);
+    out << actual << "\n";
+    return "";
+  }
+  const std::string expected = golden_text(name);
   EXPECT_EQ(actual, expected)
-      << "plan JSON schema drifted; if intentional, regenerate the fixture "
-         "with KARMA_REGEN_GOLDEN=1 and review the diff";
+      << name << " drifted; if intentional, regenerate the fixture with "
+      << "KARMA_REGEN_GOLDEN=1 and review the diff";
+  return expected;
+}
+
+TEST(PlanIo, GoldenFixtureMatches) {
+  const std::string expected =
+      check_golden("plan_fixture.json", golden_plan().to_json());
+  if (expected.empty()) GTEST_SKIP() << "regenerated plan_fixture.json";
   // The committed fixture must itself load and validate.
   const auto reloaded = Plan::from_json(expected);
   ASSERT_TRUE(reloaded.has_value()) << reloaded.error().describe();
   EXPECT_EQ(reloaded->to_json(), expected);
+}
+
+/// A fleet plan: the trailing "fleet" member, a calibrated and contended
+/// device (its default-omitted groups present), no hierarchy, no exchange.
+Plan golden_fleet_plan() {
+  Plan plan = golden_plan();
+  plan.device.scale.compute = 1.25;
+  plan.device.scale.nvme_write = 2.0;
+  plan.device.nvme_contention.queue_depth = 3.0;
+  plan.device.nvme_contention.mixed_read_penalty = 1.5;
+  plan.schedule.hierarchy.reset();
+  plan.exchange.reset();
+  plan.distributed = false;
+  place::PlacementPlan placement;
+  placement.blocks = {{0, 1}, {1, 3}, {3, 4}};
+  placement.owner = {0, 1, 0};
+  place::NodeSummary node;
+  node.name = "a100-0";
+  node.device_name = "test-1MiB+tiers";
+  node.owned_blocks = 2;
+  node.owned_param_bytes = 1024;
+  node.owned_grad_bytes = 1024;
+  node.reserved_host_bytes = 2048;
+  node.plan_iteration_time = 2.5;
+  node.exchange_tail = 0.25;
+  node.update_time = 0.125;
+  node.total_time = 2.875;
+  place::NodeSummary other = node;
+  other.name = "v100-0";
+  other.owned_blocks = 1;
+  other.total_time = 3.0;
+  other.warm_started = true;
+  placement.nodes = {node, other};
+  placement.straggler = 1;
+  placement.iteration_time = 3.0;
+  plan.placement = placement;
+  return plan;
+}
+
+/// A deadline error with two tier deficits and its best-so-far plan.
+PlanError golden_error() {
+  PlanError error;
+  error.code = PlanErrorCode::kDeadline;
+  error.message = "search deadline expired before completion";
+  error.model = "golden-model";
+  error.device = "test-1MiB+tiers";
+  error.violating_layer = 3;
+  error.violating_block = 1;
+  error.deficits = {{tier::Tier::kHost, 6144, 4096},
+                    {tier::Tier::kNvme, 70000, 65536}};
+  error.nearest_feasible_batch = 2;
+  error.probe_candidates = 5;
+  error.probe_cache_hits = 1;
+  error.retry_after = 0.5;
+  error.partial = std::make_shared<const Plan>(golden_plan());
+  return error;
+}
+
+TEST(PlanIo, FleetPlanGoldenFixtureMatches) {
+  const std::string expected =
+      check_golden("fleet_plan_fixture.json", golden_fleet_plan().to_json());
+  if (expected.empty()) GTEST_SKIP() << "regenerated fleet_plan_fixture.json";
+  const auto reloaded = Plan::from_json(expected);
+  ASSERT_TRUE(reloaded.has_value()) << reloaded.error().describe();
+  EXPECT_EQ(reloaded->to_json(), expected);
+}
+
+TEST(PlanIo, ErrorGoldenFixtureMatches) {
+  const std::string expected =
+      check_golden("error_fixture.json", error_to_json(golden_error()));
+  if (expected.empty()) GTEST_SKIP() << "regenerated error_fixture.json";
+  const PlanError reloaded = error_from_json(expected);
+  ASSERT_NE(reloaded.partial, nullptr) << reloaded.message;
+  EXPECT_EQ(error_to_json(reloaded), expected);
+}
+
+/// `json` with the text of `member`, a value parsed from it, replaced.
+std::string with_member(const std::string& json,
+                        const util::json::Value& member, const char* text) {
+  std::string out = json;
+  out.replace(member.begin, member.end - member.begin, text);
+  return out;
+}
+
+TEST(PlanIo, WrongTypedFieldIsAParseError) {
+  // A list field holding a non-list must not read as an empty (or absent)
+  // list: the plan would silently lose its stage annotations, its storage
+  // hierarchy or its gradient exchange.
+  const std::string plan = golden_text("plan_fixture.json");
+  const util::json::Value root = util::json::parse(plan);
+  const util::json::Value& schedule = root.at("schedule");
+  for (const auto& [member, text] :
+       {std::pair{&schedule.at("stage_of"), "5"},
+        std::pair{&schedule.at("hierarchy"), "5"},
+        std::pair{&root.at("exchange"), "\"x\""}}) {
+    const auto parsed = Plan::from_json(with_member(plan, *member, text));
+    ASSERT_FALSE(parsed.has_value()) << plan.substr(member->begin, 40);
+    EXPECT_EQ(parsed.error().code, PlanErrorCode::kParseError);
+  }
+  const std::string placement = golden_text("placement_fixture.json");
+  const util::json::Value fleet = util::json::parse(placement);
+  for (const char* key : {"owner", "nodes"}) {
+    const auto parsed =
+        placement_from_json(with_member(placement, fleet.at(key), "5"));
+    ASSERT_FALSE(parsed.has_value()) << key;
+    EXPECT_EQ(parsed.error().code, PlanErrorCode::kParseError) << key;
+  }
+}
+
+TEST(PlanIo, PlacementIndicesOutsideTheNodesAreParseErrors) {
+  const std::string placement = golden_text("placement_fixture.json");
+  const util::json::Value root = util::json::parse(placement);
+  for (const auto& [key, text] :
+       {std::pair{"owner", "[2,0]"}, std::pair{"owner", "[1]"},
+        std::pair{"straggler", "2"}, std::pair{"straggler", "-2"}}) {
+    const auto parsed =
+        placement_from_json(with_member(placement, root.at(key), text));
+    ASSERT_FALSE(parsed.has_value()) << key << ":" << text;
+    EXPECT_EQ(parsed.error().code, PlanErrorCode::kParseError);
+  }
+}
+
+TEST(PlanIo, EveryProperPrefixOfAFixtureIsAStructuredError) {
+  // The decoders are total: a truncated artifact parses to a structured
+  // error, never an exception or a crash.
+  for (const char* name : {"plan_fixture.json", "fleet_plan_fixture.json"}) {
+    const std::string json = golden_text(name);
+    for (std::size_t n = 0; n < json.size(); ++n) {
+      const auto parsed = plan_from_json(std::string_view(json).substr(0, n));
+      ASSERT_FALSE(parsed.has_value()) << name << " prefix " << n;
+      ASSERT_EQ(parsed.error().code, PlanErrorCode::kParseError);
+    }
+  }
+  const std::string placement = golden_text("placement_fixture.json");
+  for (std::size_t n = 0; n < placement.size(); ++n) {
+    const auto parsed =
+        placement_from_json(std::string_view(placement).substr(0, n));
+    ASSERT_FALSE(parsed.has_value()) << "placement prefix " << n;
+    ASSERT_EQ(parsed.error().code, PlanErrorCode::kParseError);
+  }
+  const std::string error = golden_text("error_fixture.json");
+  for (std::size_t n = 0; n < error.size(); ++n)
+    ASSERT_EQ(error_from_json(std::string_view(error).substr(0, n)).code,
+              PlanErrorCode::kParseError)
+        << "error prefix " << n;
 }
 
 }  // namespace

@@ -205,8 +205,9 @@ TEST(PlacementIo, GoldenFixtureMatches) {
   EXPECT_EQ(actual, expected)
       << "placement JSON schema drifted; if intentional, regenerate with "
          "KARMA_REGEN_GOLDEN=1 and review the diff";
-  const PlacementPlan reloaded = api::placement_from_json(expected);
-  EXPECT_EQ(api::placement_to_json(reloaded), expected);
+  const auto reloaded = api::placement_from_json(expected);
+  ASSERT_TRUE(reloaded.has_value()) << reloaded.error().message;
+  EXPECT_EQ(api::placement_to_json(*reloaded), expected);
 }
 
 TEST(PlacementIo, FleetRequestRoundTripPreservesCacheKey) {
