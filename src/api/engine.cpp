@@ -437,23 +437,45 @@ std::optional<PlanError> validate(const PlanRequest& request) {
   const std::int64_t dtype = request.model.dtype_bytes();
   if (dtype < 1)
     return invalid("model dtype_bytes must be >= 1", model, device);
+  const double act_scale = request.model.activation_memory_scale();
+  if (!std::isfinite(act_scale) || act_scale <= 0.0)
+    return invalid("model act_scale must be finite and positive", model,
+                   device);
+  // So must the sums over layers (range_memory, in_core_footprint) of the
+  // priced bytes: weights, activations (scaled) and their grads, and the
+  // workspace (conv scratch, a fraction of the output, or attention
+  // scores). Element counts add with checks; their priced total, below
+  // 2^62, bounds every such sum with room to spare.
+  std::int64_t weights = 0, outputs = 0, scores = 0;
   for (const graph::Layer& layer : request.model.layers()) {
     if (layer.weight_elems < 0)
       return invalid("layer '" + layer.name + "' has negative weight_elems",
                      model, device);
-    if (!bytes_fit({layer.weight_elems, dtype}) ||
-        !bytes_fit({layer.out_shape.numel(), dtype}))
+    const std::int64_t out = layer.out_shape.numel();
+    if (!bytes_fit({layer.weight_elems, dtype}) || !bytes_fit({out, dtype}) ||
+        __builtin_add_overflow(weights, layer.weight_elems, &weights) ||
+        __builtin_add_overflow(outputs, out, &outputs))
       return invalid("layer '" + layer.name + "' byte count overflows int64",
                      model, device);
     // Attention scores: batch * heads * S * S, materialized.
     const graph::TensorShape& in = layer.in_shape;
+    const std::int64_t heads = std::max<std::int64_t>(layer.heads, 1);
     if (layer.kind == graph::LayerKind::kSelfAttention && in.rank() == 3 &&
-        !bytes_fit({in.batch(), std::max<std::int64_t>(layer.heads, 1),
-                    in.dim(1), in.dim(1), dtype}))
+        (!bytes_fit({in.batch(), heads, in.dim(1), in.dim(1), dtype}) ||
+         __builtin_add_overflow(
+             scores, in.batch() * heads * in.dim(1) * in.dim(1), &scores)))
       return invalid("layer '" + layer.name +
                          "' attention scores overflow int64 bytes",
                      model, device);
   }
+  const double act_grads_and_scratch =
+      2.0 * graph::MemoryModelOptions{}.allocator_overhead * act_scale + 1.0;
+  if (!(static_cast<double>(dtype) *
+            (2.0 * static_cast<double>(weights) +
+             act_grads_and_scratch * static_cast<double>(outputs) +
+             static_cast<double>(scores)) <
+        0x1p62))
+    return invalid("model byte total overflows int64", model, device);
   // Each anneal worker is a thread: a request must not ask for thousands.
   if (request.planner.anneal_workers < 1 ||
       request.planner.anneal_workers > core::kMaxAnnealWorkers)
@@ -1416,21 +1438,8 @@ std::optional<Expected<Plan, PlanError>> Engine::try_cached(
   }
   if (options_.cache.cache_mode == SessionOptions::CacheMode::kBypass ||
       !impl_->cache)
-    return std::nullopt;
-  const cache::RequestKey key = key_for(request);
-  obs::Span lookup_span("engine.cache_lookup", "cache");
-  // quiet: a nullopt probe flows into plan()/plan_async(), whose own
-  // prepare counts the miss — counting it here too would double-bill.
-  if (auto hit = impl_->cache->lookup(key, /*quiet=*/true)) {
-    impl_->requests->inc();
-    return Outcome(std::move(*hit));
-  }
-  if (auto negative =
-          impl_->cache->lookup_negative(key, request.probe_feasible_batch)) {
-    impl_->requests->inc();
-    return Outcome(std::move(*negative));
-  }
-  return std::nullopt;
+    return std::nullopt;  // before key_for: nothing to look up
+  return try_cached(key_for(request), request.probe_feasible_batch);
 }
 
 std::optional<Expected<Plan, PlanError>> Engine::try_cached(
@@ -1441,6 +1450,8 @@ std::optional<Expected<Plan, PlanError>> Engine::try_cached(
       !impl_->cache)
     return std::nullopt;
   obs::Span lookup_span("engine.cache_lookup", "cache");
+  // quiet: a nullopt probe flows into plan()/plan_async(), whose own
+  // prepare counts the miss — counting it here too would double-bill.
   if (auto hit = impl_->cache->lookup(key, /*quiet=*/true)) {
     impl_->requests->inc();
     return Outcome(std::move(*hit));

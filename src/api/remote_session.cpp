@@ -7,17 +7,11 @@
 #include <cstring>
 #include <utility>
 
-#include "src/api/plan_io.h"
-#include "src/api/request_io.h"
 #include "src/pland/protocol.h"
-#include "src/util/json.h"
 
 namespace karma::api {
 
 namespace {
-
-using util::json::Value;
-using util::json::Writer;
 
 PlanError unavailable(std::string message) {
   PlanError e;
@@ -69,171 +63,90 @@ RemoteSession::~RemoteSession() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::string RemoteSession::round_trip(const std::string& envelope,
-                                      std::int64_t id) {
-  if (fd_ < 0) return {};
-  if (!pland::write_frame(fd_, envelope)) return {};
-  std::string payload;
+struct RemoteSession::Reply {
+  std::string frame;
+  util::json::Value root;
+  pland::Response response;  ///< its RawJson members view `frame`/`root`
+};
+
+std::optional<PlanError> RemoteSession::call(
+    pland::RequestOf<const PlanRequest*> request, Reply& reply) {
+  std::lock_guard<std::mutex> lock(mu_);
+  request.head.id = next_id_++;
+  util::json::Writer w(std::move(frame_));
+  JsonOut(w).put(request);
+  frame_ = w.take();
+  if (fd_ < 0 || !pland::write_frame(fd_, frame_))
+    return unavailable("karma-pland connection failed");
   for (;;) {
-    if (pland::read_frame(fd_, &payload) != pland::ReadStatus::kOk)
-      return {};
+    if (pland::read_frame(fd_, &reply.frame) != pland::ReadStatus::kOk)
+      return unavailable("karma-pland connection failed mid-request");
     try {
-      const Value root = util::json::parse(payload);
-      if (root.at("id").as_int() == id) return payload;
-      // Not ours (stale pipelined response) — keep reading.
-    } catch (const std::exception&) {
-      return {};
+      reply.root = util::json::parse(reply.frame);
+      reply.response = {};
+      JsonIn::read(reply.root, reply.response, reply.frame);
+    } catch (const std::exception& ex) {
+      return unavailable(std::string("malformed daemon response: ") +
+                         ex.what());
     }
+    // Not ours (a stale pipelined response): keep reading.
+    if (reply.response.head.id != request.head.id) continue;
+    if (!reply.response.ok) return std::move(*reply.response.error);
+    return std::nullopt;
   }
 }
 
 Expected<std::string, PlanError> RemoteSession::plan_raw(
     const PlanRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("plan");
-  w.key("id"); w.value(id);
-  w.key("tenant"); w.value(tenant_);
-  w.key("request"); w.raw(request_to_json(request));
-  w.end_object();
-
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty())
-    return unavailable("karma-pland connection failed mid-request");
-  try {
-    const Value root = util::json::parse(payload);
-    if (root.at("ok").as_bool()) {
-      // The span IS the leader's Plan::to_json() bytes — byte-identical
-      // for every client fleet-wide.
-      return std::string(root.at("plan").span(payload));
-    }
-    return error_from_json(root.at("error").span(payload));
-  } catch (const std::exception& ex) {
-    return unavailable(std::string("malformed daemon response: ") +
-                       ex.what());
-  }
+  Reply reply;
+  if (auto error = call({.head = {"plan"}, .tenant = tenant_,
+                         .request = &request}, reply))
+    return std::move(*error);
+  // The span IS the leader's Plan::to_json() bytes — byte-identical for
+  // every client fleet-wide.
+  return std::string(reply.response.plan.text);
 }
 
 Expected<Plan, PlanError> RemoteSession::plan(const PlanRequest& request) {
-  auto raw = plan_raw(request);
-  if (!raw) return std::move(raw).error();
-  return plan_from_json(raw.value());
+  Reply reply;
+  if (auto error = call({.head = {"plan"}, .tenant = tenant_,
+                         .request = &request}, reply))
+    return std::move(*error);
+  return read_json<Plan>(*reply.response.plan.value, "RemoteSession::plan");
 }
 
 Expected<std::string, PlanError> RemoteSession::stats_json() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("stats");
-  w.key("id"); w.value(id);
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return unavailable("stats request failed");
-  try {
-    const Value root = util::json::parse(payload);
-    if (!root.at("ok").as_bool())
-      return error_from_json(root.at("error").span(payload));
-    return std::string(root.at("stats").span(payload));
-  } catch (const std::exception& ex) {
-    return unavailable(std::string("malformed stats response: ") +
-                       ex.what());
-  }
+  Reply reply;
+  if (auto error = call({.head = {"stats"}}, reply)) return std::move(*error);
+  return std::string(reply.response.stats.text);
 }
 
 Expected<std::string, PlanError> RemoteSession::metrics_json() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("metrics");
-  w.key("id"); w.value(id);
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return unavailable("metrics request failed");
-  try {
-    const Value root = util::json::parse(payload);
-    if (!root.at("ok").as_bool())
-      return error_from_json(root.at("error").span(payload));
-    return std::string(root.at("metrics").span(payload));
-  } catch (const std::exception& ex) {
-    return unavailable(std::string("malformed metrics response: ") +
-                       ex.what());
-  }
+  Reply reply;
+  if (auto error = call({.head = {"metrics"}}, reply)) return std::move(*error);
+  return std::string(reply.response.metrics.text);
 }
 
 Expected<std::string, PlanError> RemoteSession::calibrate(
     const std::string& table_json) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("calibrate");
-  w.key("id"); w.value(id);
-  w.key("table");
-  if (table_json.empty()) {
-    w.null();  // null table clears back to the analytic model
-  } else {
-    w.raw(table_json);
-  }
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return unavailable("calibrate request failed");
-  try {
-    const Value root = util::json::parse(payload);
-    if (!root.at("ok").as_bool())
-      return error_from_json(root.at("error").span(payload));
-    return root.at("calibration").as_string();
-  } catch (const std::exception& ex) {
-    return unavailable(std::string("malformed calibrate response: ") +
-                       ex.what());
-  }
+  Reply reply;
+  // A null table clears back to the analytic model.
+  const std::string_view table =
+      table_json.empty() ? std::string_view("null") : table_json;
+  if (auto error = call({.head = {"calibrate"}, .table = {table}}, reply))
+    return std::move(*error);
+  return std::move(*reply.response.calibration);
 }
 
 bool RemoteSession::ping() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("ping");
-  w.key("id"); w.value(id);
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return false;
-  try {
-    const Value root = util::json::parse(payload);
-    return root.at("type").as_string() == "pong" &&
-           root.at("ok").as_bool();
-  } catch (const std::exception&) {
-    return false;
-  }
+  Reply reply;
+  return !call({.head = {"ping"}}, reply) && reply.response.head.type == "pong";
 }
 
 bool RemoteSession::shutdown_server() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = next_id_++;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(pland::kProtocolVersion);
-  w.key("type"); w.value("shutdown");
-  w.key("id"); w.value(id);
-  w.end_object();
-  const std::string payload = round_trip(w.take(), id);
-  if (payload.empty()) return false;
-  try {
-    const Value root = util::json::parse(payload);
-    return root.at("type").as_string() == "shutdown" &&
-           root.at("ok").as_bool();
-  } catch (const std::exception&) {
-    return false;
-  }
+  Reply reply;
+  return !call({.head = {"shutdown"}}, reply) &&
+         reply.response.head.type == "shutdown";
 }
 
 }  // namespace karma::api

@@ -16,16 +16,25 @@
 // artifacts (karma-planctl, the storm test) keep byte-identity end to end
 // without a reserialize.
 //
+// Every verb is one call() through the protocol's field lists
+// (pland/protocol.h), which parses each response frame exactly once.
+//
 // Thread-safety: a RemoteSession serializes its calls internally (one
 // in-flight request per connection); open one per thread for parallelism.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "src/api/errors.h"
 #include "src/api/session.h"
+
+namespace karma::pland {
+template <class Body>
+struct RequestOf;
+}
 
 namespace karma::api {
 
@@ -77,12 +86,19 @@ class RemoteSession {
  private:
   RemoteSession(int fd, std::string tenant);
 
-  /// Sends one envelope, reads frames until the response echoing `id`
-  /// arrives, returns its payload. Empty = transport failure.
-  std::string round_trip(const std::string& envelope, std::int64_t id);
+  struct Reply;
+  /// Sends `request` under the next id, then reads frames until the
+  /// response echoing it arrives and parses that frame once into `reply`.
+  /// A transport failure or a malformed envelope is kUnavailable; an
+  /// `ok:false` response is its own error.
+  std::optional<PlanError> call(
+      pland::RequestOf<const PlanRequest*> request, Reply& reply);
 
   int fd_ = -1;
   std::string tenant_;
+  /// The outgoing frame's storage, reused: a request of hundreds of KB
+  /// costs no fresh allocation, and so no page faults, per call.
+  std::string frame_;
   std::int64_t next_id_ = 1;
   std::mutex mu_;
 };

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "src/api/plan_io.h"
+#include "src/api/request_io.h"
 #include "src/api/session.h"
 #include "src/util/enum_names.h"
 #include "src/util/json.h"
@@ -75,6 +76,17 @@ struct Named {
 template <class E>
 struct Coded {
   E last;
+};
+
+/// One already-encoded JSON value: written verbatim (Writer::raw) and read
+/// back as its exact span of the parsed input, with `value` pointing at its
+/// node of that parse so a reader can descend into it without re-parsing.
+/// An empty `text` is absent, so `IfNotDefault` omits it.
+struct RawJson {
+  std::string_view text;
+  const util::json::Value* value = nullptr;
+
+  bool operator==(const RawJson& other) const { return text == other.text; }
 };
 
 /// A nested object of members the list names in place, drawn from the
@@ -298,6 +310,7 @@ void fields(V& v, L& l) {
 
 template <class V, Is<PlanRequest> R>
 void fields(V& v, R& r) {
+  v("version", kRequestJsonVersion, SchemaVersion{});
   v("model", r.model);
   v("device", r.device);
   v("planner", r.planner);
@@ -538,7 +551,12 @@ class JsonOut {
   void put(bool b) { w_.value(b); }
   void put(int x) { w_.value(x); }
   void put(std::int64_t x) { w_.value(x); }
+  /// Counters: JSON integers here are int64.
+  void put(std::uint64_t x) { w_.value(static_cast<std::int64_t>(x)); }
   void put(double x) { w_.value(x); }
+  void put(const RawJson& json) { w_.raw(json.text); }
+  /// A request written in place from the caller's object.
+  void put(const PlanRequest* request) { put(*request); }
   void put(const graph::TensorShape& shape) { put(shape.dims()); }
   void put(const SkipEdges& skips) {
     w_.begin_array();
@@ -589,9 +607,13 @@ class JsonOut {
 /// std::runtime_error (or the std::invalid_argument of a bad shape or
 /// hierarchy, or the std::logic_error of Model::validate) on malformed
 /// input; each entry point maps that to its own structured PlanError.
+/// `source` is the text the DOM was parsed from; only RawJson members need
+/// it.
 class JsonIn {
  public:
-  explicit JsonIn(const util::json::Value& object) : object_(object) {}
+  explicit JsonIn(const util::json::Value& object,
+                  std::string_view source = {})
+      : object_(object), source_(source) {}
 
   template <class T>
   void operator()(const char* key, T& x) {
@@ -621,7 +643,7 @@ class JsonIn {
   }
   template <class F>
   void operator()(const char* key, Group<F> group) {
-    JsonIn in(object_.at(key));
+    JsonIn in(object_.at(key), source_);
     group.members(in);
   }
   template <class E>
@@ -654,8 +676,9 @@ class JsonIn {
   /// Reads `x` from `v`, one object of its field list, then runs its
   /// cross-field checks.
   template <class T>
-  static void read(const util::json::Value& v, T& x) {
-    JsonIn in(v);
+  static void read(const util::json::Value& v, T& x,
+                   std::string_view source = {}) {
+    JsonIn in(v, source);
     fields(in, x);
     after_read(x);
   }
@@ -682,6 +705,9 @@ class JsonIn {
   void get(const util::json::Value& v, net::ExchangePlan& e,
            const char* key) {
     get(v, e.phases, key);
+  }
+  void get(const util::json::Value& v, RawJson& json, const char*) {
+    json = {v.span(source_), &v};
   }
   template <class T>
   void get(const util::json::Value& v, std::vector<T>& xs, const char* key) {
@@ -722,11 +748,12 @@ class JsonIn {
       get(items[0], first, key);
       get(items[1], second, key);
     } else {
-      read(v, x);
+      read(v, x, source_);
     }
   }
 
   const util::json::Value& object_;
+  std::string_view source_;
 };
 
 /// `x` as JSON text: one object of its field list.
@@ -745,13 +772,16 @@ inline PlanError parse_error(const char* reader, const std::string& why) {
   return e;
 }
 
-/// Parses `json` as one object of T's field list; any failure is a
-/// parse_error naming `reader`.
-template <class T>
-Expected<T, PlanError> read_json(std::string_view json, const char* reader) {
+/// Reads `json` (text, or a node already parsed) as one object of T's
+/// field list; any failure is a parse_error naming `reader`.
+template <class T, class Json>
+Expected<T, PlanError> read_json(const Json& json, const char* reader) {
   try {
     T x;
-    JsonIn::read(util::json::parse(json), x);
+    if constexpr (std::is_same_v<Json, util::json::Value>)
+      JsonIn::read(json, x);
+    else
+      JsonIn::read(util::json::parse(json), x);
     return x;
   } catch (const std::exception& ex) {
     return parse_error(reader, ex.what());

@@ -1,5 +1,5 @@
-// PlanRequest / PlanError artifact serialization — the wire half of the
-// karma-pland protocol (DESIGN.md §12).
+// PlanRequest artifact serialization — the request half of the karma-pland
+// protocol (DESIGN.md §12).
 //
 //   request_to_json / request_from_json — the JSON writer and reader
 //       derived from the request's field lists (src/api/request_fields.h),
@@ -8,11 +8,9 @@
 //       probe_feasible_batch) a remote server still needs to honor, and a
 //       round trip keeps the cache identity bit for bit:
 //       cache::request_key(parse(serialize(r))) == cache::request_key(r).
-//   error_to_json / error_from_json — a structured PlanError round-trips
-//       including its attached partial plan, derived from PlanError's
-//       field list like the request. The partial is a nested v2 plan
-//       object, the same bytes as a standalone to_json(), and it is read
-//       from the envelope's DOM with the plan's own checks.
+// A PlanError travels as an object of its own field list inside the
+// protocol's response envelope (src/pland/protocol.h); its attached
+// partial plan is a nested v2 plan object, the bytes of its to_json().
 //
 // Like the plan schema, the request schema is versioned and readers
 // reject versions they do not understand.
@@ -42,15 +40,6 @@ std::string request_to_json(const PlanRequest& request);
 /// malformed input or unknown schema versions. Key-preserving:
 /// cache::request_key of the parsed request equals that of the original.
 Expected<PlanRequest, PlanError> request_from_json(std::string_view json);
-
-/// Serializes a structured PlanError, embedding the attached partial plan
-/// (when present) as a nested plan artifact.
-std::string error_to_json(const PlanError& error);
-
-/// Parses a serialized PlanError back, reconstructing the partial plan.
-/// A malformed envelope still yields a PlanError — kParseError describing
-/// the envelope failure — so callers always get a surfaceable error.
-PlanError error_from_json(std::string_view json);
 
 /// Serializes a FleetSpec (the same component the v2 request schema
 /// embeds, usable standalone for fixtures and tooling). Deterministic:

@@ -64,7 +64,7 @@ ProfileArtifact ProfileArtifact::from_json(std::string_view text) {
                              std::to_string(p.version));
   p.device_class = root.at("device_class").as_string();
   p.model_name = root.at("model_name").as_string();
-  for (const json::Value& s : root.at("samples").array) {
+  for (const json::Value& s : root.at("samples").as_array()) {
     // Unknown kinds are skipped, not fatal: a newer recorder may emit op
     // kinds this build does not know how to calibrate.
     const auto kind = cost_kind_from(s.at("kind").as_string());

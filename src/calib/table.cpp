@@ -58,11 +58,9 @@ CalibrationTable CalibrationTable::from_json(std::string_view text) {
   if (t.version != kCalibrationJsonVersion)
     throw std::runtime_error("CalibrationTable: unsupported version " +
                              std::to_string(t.version));
-  for (const auto& [cls, row] : root.at("factors").object) {
-    if (row.type != json::Value::Type::kObject)
-      throw std::runtime_error("CalibrationTable: factor row is not an object");
+  for (const auto& [cls, row] : root.at("factors").as_object()) {
     std::map<std::string, double> cells;
-    for (const auto& [kind, f] : row.object) {
+    for (const auto& [kind, f] : row.as_object()) {
       const double factor = f.as_double();
       if (!(factor > 0.0) || !std::isfinite(factor))
         throw std::runtime_error(

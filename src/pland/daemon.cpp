@@ -35,12 +35,40 @@
 #include "src/util/hash.h"
 #include "src/util/json.h"
 
+namespace karma::api {
+
+template <class V>
+void fields(V& v, const EngineStats& s) {
+  v("requests", s.requests);
+  v("searches", s.searches);
+  v("flights_joined", s.flights_joined);
+  v("cancelled", s.cancelled);
+  v("deadlines", s.deadlines);
+}
+
+template <class V>
+void fields(V& v, const cache::CacheStats& s) {
+  v("memory_hits", s.memory_hits);
+  v("disk_hits", s.disk_hits);
+  v("misses", s.misses);
+  v("insertions", s.insertions);
+  v("evictions", s.evictions);
+  v("disk_writes", s.disk_writes);
+  v("corrupt_entries", s.corrupt_entries);
+  v("resident_bytes", s.resident_bytes);
+  v("negative_hits", s.negative_hits);
+  v("negative_insertions", s.negative_insertions);
+}
+
+}  // namespace karma::api
+
 namespace karma::pland {
 
 namespace {
 
 using util::json::Value;
-using util::json::Writer;
+
+using Outcome = api::Expected<api::Plan, api::PlanError>;
 
 /// One accepted client. The reader thread and the plan workers share it;
 /// the write mutex serializes response frames (clients may pipeline, so a
@@ -53,11 +81,31 @@ struct Connection {
   int fd;
   std::mutex write_mu;
 
-  bool send(const std::string& payload) {
+  /// The one response writer: every verb is answered through it.
+  bool send(const Response& response) {
+    const std::string payload = api::write_json(response);
     std::lock_guard<std::mutex> lock(write_mu);
     return write_frame(fd, payload);
   }
+
+  /// Answers plan `id` with its outcome. The plan is spliced verbatim: the
+  /// artifact on the wire is byte-identical to the engine's
+  /// Plan::to_json(), for every client of every process.
+  bool answer(std::int64_t id, Outcome outcome) {
+    if (!outcome)
+      return send({.head = {"plan", id}, .ok = false,
+                   .error = std::move(outcome.error())});
+    const std::string plan = outcome.value().to_json();
+    return send({.head = {"plan", id}, .plan = {plan}});
+  }
 };
+
+api::PlanError plan_error(api::PlanErrorCode code, std::string message) {
+  api::PlanError e;
+  e.code = code;
+  e.message = std::move(message);
+  return e;
+}
 
 /// Builds the sockaddr for `path`; false when it exceeds sun_path.
 bool fill_addr(const std::string& path, sockaddr_un* addr) {
@@ -68,110 +116,35 @@ bool fill_addr(const std::string& path, sockaddr_un* addr) {
   return true;
 }
 
-std::string plan_response(std::int64_t id,
-                          const api::Expected<api::Plan, api::PlanError>& out) {
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(kProtocolVersion);
-  w.key("type"); w.value("plan");
-  w.key("id"); w.value(id);
-  w.key("ok"); w.value(out.has_value());
-  if (out.has_value()) {
-    // Spliced verbatim: the artifact on the wire is byte-identical to the
-    // engine's Plan::to_json(), for every client of every process.
-    w.key("plan"); w.raw(out.value().to_json());
-  } else {
-    w.key("error"); w.raw(api::error_to_json(out.error()));
-  }
-  w.end_object();
-  return w.take();
-}
-
-std::string simple_response(const char* type, std::int64_t id) {
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(kProtocolVersion);
-  w.key("type"); w.value(type);
-  w.key("id"); w.value(id);
-  w.key("ok"); w.value(true);
-  w.end_object();
-  return w.take();
-}
-
-std::string protocol_error_response(std::int64_t id,
-                                    const std::string& message) {
-  api::PlanError e;
-  e.code = api::PlanErrorCode::kInvalidRequest;
-  e.message = message;
-  Writer w;
-  w.begin_object();
-  w.key("v"); w.value(kProtocolVersion);
-  w.key("type"); w.value("error");
-  w.key("id"); w.value(id);
-  w.key("ok"); w.value(false);
-  w.key("error"); w.raw(api::error_to_json(e));
-  w.end_object();
-  return w.take();
-}
-
-void write_cache_stats(Writer& w, const cache::CacheStats& c) {
-  w.begin_object();
-  w.key("memory_hits"); w.value(static_cast<std::int64_t>(c.memory_hits));
-  w.key("disk_hits"); w.value(static_cast<std::int64_t>(c.disk_hits));
-  w.key("misses"); w.value(static_cast<std::int64_t>(c.misses));
-  w.key("insertions"); w.value(static_cast<std::int64_t>(c.insertions));
-  w.key("evictions"); w.value(static_cast<std::int64_t>(c.evictions));
-  w.key("disk_writes"); w.value(static_cast<std::int64_t>(c.disk_writes));
-  w.key("corrupt_entries");
-  w.value(static_cast<std::int64_t>(c.corrupt_entries));
-  w.key("resident_bytes"); w.value(static_cast<std::int64_t>(c.resident_bytes));
-  w.key("negative_hits"); w.value(static_cast<std::int64_t>(c.negative_hits));
-  w.key("negative_insertions");
-  w.value(static_cast<std::int64_t>(c.negative_insertions));
-  w.end_object();
-}
-
 }  // namespace
 
-std::string DaemonStats::to_json() const {
-  Writer w;
-  w.begin_object();
-  w.key("connections"); w.value(static_cast<std::int64_t>(connections));
-  w.key("requests"); w.value(static_cast<std::int64_t>(requests));
-  w.key("shed"); w.value(static_cast<std::int64_t>(shed));
-  w.key("protocol_errors");
-  w.value(static_cast<std::int64_t>(protocol_errors));
-  w.key("engine");
-  w.begin_object();
-  w.key("requests"); w.value(static_cast<std::int64_t>(engine.requests));
-  w.key("searches"); w.value(static_cast<std::int64_t>(engine.searches));
-  w.key("flights_joined");
-  w.value(static_cast<std::int64_t>(engine.flights_joined));
-  w.key("cancelled"); w.value(static_cast<std::int64_t>(engine.cancelled));
-  w.key("deadlines"); w.value(static_cast<std::int64_t>(engine.deadlines));
-  w.end_object();
-  w.key("cache");
-  write_cache_stats(w, cache);
-  w.key("claims_won"); w.value(static_cast<std::int64_t>(claims_won));
-  w.key("claims_lost"); w.value(static_cast<std::int64_t>(claims_lost));
-  w.key("calibration"); w.value(calibration);
-  w.key("calibration_version"); w.value(calibration_version);
-  w.key("tenants");
-  w.begin_array();
-  for (const auto& t : tenants) {
-    w.begin_object();
-    w.key("tenant"); w.value(t.tenant);
-    w.key("admitted"); w.value(static_cast<std::int64_t>(t.admitted));
-    w.key("completed"); w.value(static_cast<std::int64_t>(t.completed));
-    w.key("shed"); w.value(static_cast<std::int64_t>(t.shed));
-    w.key("hits"); w.value(static_cast<std::int64_t>(t.hits));
-    w.key("queue_depth"); w.value(static_cast<std::int64_t>(t.queue_depth));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
+// The stats document: one field list per counter struct.
+template <class V>
+void fields(V& v, const TenantStats& t) {
+  v("tenant", t.tenant);
+  v("admitted", t.admitted);
+  v("completed", t.completed);
+  v("shed", t.shed);
+  v("hits", t.hits);
+  v("queue_depth", t.queue_depth);
 }
+
+template <class V>
+void fields(V& v, const DaemonStats& s) {
+  v("connections", s.connections);
+  v("requests", s.requests);
+  v("shed", s.shed);
+  v("protocol_errors", s.protocol_errors);
+  v("engine", s.engine);
+  v("cache", s.cache);
+  v("claims_won", s.claims_won);
+  v("claims_lost", s.claims_lost);
+  v("calibration", s.calibration);
+  v("calibration_version", s.calibration_version);
+  v("tenants", s.tenants);
+}
+
+std::string DaemonStats::to_json() const { return api::write_json(*this); }
 
 struct Daemon::Impl {
   Impl(const DaemonOptions& options, std::shared_ptr<api::Engine> engine)
@@ -218,10 +191,7 @@ struct Daemon::Impl {
     /// weight-1 tenant, regardless of backlog sizes.
     double pass = 0.0;
     double weight = 1.0;
-    std::uint64_t admitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t hits = 0;
+    TenantStats stats;  ///< its name and queue depth filled on export
   };
 
   int listen_fd = -1;
@@ -383,7 +353,7 @@ struct Daemon::Impl {
         protocol_errors->inc();
         return;  // length framing is unrecoverable once desynced
       }
-      std::int64_t id = 0;
+      Request request;  // outside the try: the error answer echoes its id
       try {
         obs::Span parse_span("frame.parse", "pland");
         // A plan frame's bytes are dominated by the embedded request (a
@@ -391,8 +361,8 @@ struct Daemon::Impl {
         // parse the envelope with the request hollowed to null, so the
         // hit path pays a digest of the span instead of a DOM of the
         // model. When the scan demurs, the full parse recovers the span.
-        std::string_view request_span =
-            util::json::scan_member(payload, "request");
+        const std::string_view request_span =
+            util::json::scan_member(payload, kRequestMember);
         std::string hollowed;
         if (!request_span.empty()) {
           const auto off =
@@ -403,70 +373,59 @@ struct Daemon::Impl {
           hollowed.append(payload, off + request_span.size(),
                           std::string::npos);
         }
-        const Value root =
-            util::json::parse(hollowed.empty() ? payload : hollowed);
-        if (request_span.empty() && root.has("request"))
-          request_span = root.at("request").span(payload);
-        if (root.at("v").as_int() != kProtocolVersion)
-          throw std::runtime_error("unsupported protocol version");
-        id = root.at("id").as_int();
-        const std::string& type = root.at("type").as_string();
+        const std::string_view text = hollowed.empty() ? payload : hollowed;
+        const Value root = util::json::parse(text);
+        api::JsonIn::read(root, request, text);
+        if (!request_span.empty()) request.request = {request_span};
         parse_span.end();
+        const std::string& type = request.head.type;
+        const std::int64_t id = request.head.id;
         if (type == "ping") {
-          conn->send(simple_response("pong", id));
+          conn->send({.head = {"pong", id}});
         } else if (type == "stats") {
-          Writer w;
-          w.begin_object();
-          w.key("v"); w.value(kProtocolVersion);
-          w.key("type"); w.value("stats");
-          w.key("id"); w.value(id);
-          w.key("ok"); w.value(true);
-          w.key("stats"); w.raw(collect_stats().to_json());
-          w.end_object();
-          conn->send(w.take());
+          const std::string stats = collect_stats().to_json();
+          conn->send({.head = {"stats", id}, .stats = {stats}});
         } else if (type == "metrics") {
           // The registry's deterministic JSON snapshot: engine + cache +
           // daemon instruments in one document (DESIGN.md §15).
-          Writer w;
-          w.begin_object();
-          w.key("v"); w.value(kProtocolVersion);
-          w.key("type"); w.value("metrics");
-          w.key("id"); w.value(id);
-          w.key("ok"); w.value(true);
-          w.key("metrics"); w.raw(engine->metrics()->snapshot_json());
-          w.end_object();
-          conn->send(w.take());
+          const std::string metrics = engine->metrics()->snapshot_json();
+          conn->send({.head = {"metrics", id}, .metrics = {metrics}});
         } else if (type == "shutdown") {
-          conn->send(simple_response("shutdown", id));
+          conn->send({.head = {"shutdown", id}});
           stop_requested.store(true, std::memory_order_relaxed);
           state_cv.notify_all();
           return;
         } else if (type == "plan") {
-          if (request_span.empty())
+          if (request.request.text.empty())
             throw std::runtime_error("plan frame without a request");
-          handle_plan(conn, id, root, request_span);
+          handle_plan(conn, request);
         } else if (type == "calibrate") {
-          if (!root.has("table"))
+          if (request.table.text.empty())
             throw std::runtime_error("calibrate frame without a table");
-          handle_calibrate(conn, id, root.at("table").is_null()
-                                          ? std::string_view()
-                                          : root.at("table").span(payload));
+          handle_calibrate(conn, id, request.table.value->is_null()
+                                         ? std::string_view()
+                                         : request.table.text);
         } else {
           throw std::runtime_error("unknown request type '" + type + "'");
         }
       } catch (const std::exception& ex) {
         protocol_errors->inc();
-        if (!conn->send(protocol_error_response(id, ex.what()))) return;
+        if (!conn->send({.head = {"error", request.head.id},
+                         .ok = false,
+                         .error = plan_error(
+                             api::PlanErrorCode::kInvalidRequest, ex.what())}))
+          return;
       }
     }
   }
 
-  void handle_plan(const std::shared_ptr<Connection>& conn, std::int64_t id,
-                   const Value& root, std::string_view request_span) {
+  void handle_plan(const std::shared_ptr<Connection>& conn,
+                   const Request& request) {
     requests->inc();
     const std::uint64_t t0 = obs::trace_now_us();
-    const std::string tenant =
-        root.has("tenant") ? root.at("tenant").as_string() : std::string();
+    const std::int64_t id = request.head.id;
+    const std::string_view request_span = request.request.text;
+    const std::string& tenant = request.tenant;
 
     // ---- Memoized hit path: bytes seen before skip the parse ----
     const util::Digest128 digest = util::digest128(request_span);
@@ -483,9 +442,9 @@ struct Daemon::Impl {
                 engine->try_cached(memo->key, memo->probe_feasible_batch)) {
           {
             std::lock_guard<std::mutex> lock(queue_mu);
-            tenant_queue(tenant).hits++;
+            tenant_queue(tenant).stats.hits++;
           }
-          conn->send(plan_response(id, std::move(*outcome)));
+          conn->answer(id, std::move(*outcome));
           hit_seconds->observe(
               static_cast<double>(obs::trace_now_us() - t0) * 1e-6);
           obs::emit_complete("pland.hit", "pland", t0, obs::trace_now_us());
@@ -503,15 +462,15 @@ struct Daemon::Impl {
       std::lock_guard<std::mutex> lock(queue_mu);
       TenantQueue& q = tenant_queue(tenant);
       if (q.jobs.size() >= options.max_queue_per_tenant) {
-        q.shed++;
+        q.stats.shed++;
         shed->inc();
         obs::emit_instant("pland.shed", "pland");
-        api::PlanError e;
-        e.code = api::PlanErrorCode::kOverloaded;
-        e.message = "tenant '" + tenant + "' planning queue is full (" +
-                    std::to_string(q.jobs.size()) + " queued); retry later";
+        api::PlanError e = plan_error(
+            api::PlanErrorCode::kOverloaded,
+            "tenant '" + tenant + "' planning queue is full (" +
+                std::to_string(q.jobs.size()) + " queued); retry later");
         e.retry_after = options.retry_after;
-        conn->send(plan_response(id, std::move(e)));
+        conn->answer(id, std::move(e));
         return;
       }
       // A tenant whose queue drained keeps its last pass, which falls
@@ -519,7 +478,7 @@ struct Daemon::Impl {
       // must never bank into a burst credit that would serve this tenant
       // exclusively until its stale pass catches up.
       if (q.jobs.empty()) q.pass = std::max(q.pass, virtual_time);
-      q.admitted++;
+      q.stats.admitted++;
       q.jobs.push_back(Job{conn, id, std::string(request_span), digest,
                            tenant, obs::trace_now_us()});
     }
@@ -543,18 +502,9 @@ struct Daemon::Impl {
       std::lock_guard<std::mutex> lock(digest_mu);
       digests.clear();
     }
-    Writer w;
-    w.begin_object();
-    w.key("v"); w.value(kProtocolVersion);
-    w.key("type"); w.value("calibrate");
-    w.key("id"); w.value(id);
-    w.key("ok"); w.value(true);
-    w.key("calibration"); w.value(engine->calibration_hash());
-    w.key("calibration_version");
-    w.value(table ? static_cast<std::int64_t>(table->version)
-                  : std::int64_t{0});
-    w.end_object();
-    conn->send(w.take());
+    conn->send({.head = {"calibrate", id},
+                .calibration = engine->calibration_hash(),
+                .calibration_version = table ? table->version : 0});
   }
 
   void worker_loop() {
@@ -613,9 +563,9 @@ struct Daemon::Impl {
       if (!parsed) {
         {
           std::lock_guard<std::mutex> lock(queue_mu);
-          tenants[job.tenant].completed++;
+          tenants[job.tenant].stats.completed++;
         }
-        job.conn->send(plan_response(job.id, std::move(parsed).error()));
+        job.conn->answer(job.id, std::move(parsed).error());
         miss_span.end();
         flush_trace();
         continue;
@@ -644,11 +594,11 @@ struct Daemon::Impl {
       // plan by reading stats must observe the completion.
       {
         std::lock_guard<std::mutex> lock(queue_mu);
-        tenants[job.tenant].completed++;
+        tenants[job.tenant].stats.completed++;
       }
       {
         obs::Span respond_span("pland.respond", "pland");
-        job.conn->send(plan_response(job.id, std::move(*outcome)));
+        job.conn->answer(job.id, std::move(*outcome));
       }
       miss_seconds->observe(
           static_cast<double>(obs::trace_now_us() - job.enqueue_us) * 1e-6);
@@ -682,14 +632,9 @@ struct Daemon::Impl {
     {
       std::lock_guard<std::mutex> lock(queue_mu);
       for (const auto& [name, q] : tenants) {
-        TenantStats t;
-        t.tenant = name;
-        t.admitted = q.admitted;
-        t.completed = q.completed;
-        t.shed = q.shed;
-        t.hits = q.hits;
-        t.queue_depth = q.jobs.size();
-        s.tenants.push_back(std::move(t));
+        s.tenants.push_back(q.stats);
+        s.tenants.back().tenant = name;
+        s.tenants.back().queue_depth = q.jobs.size();
       }
     }
     return s;
@@ -832,12 +777,11 @@ void Daemon::stop() {
         q.jobs.pop_front();
       }
   }
-  for (auto& job : leftover) {
-    api::PlanError e;
-    e.code = api::PlanErrorCode::kUnavailable;
-    e.message = "daemon shutting down before the search started";
-    job.conn->send(plan_response(job.id, std::move(e)));
-  }
+  for (auto& job : leftover)
+    job.conn->answer(job.id,
+                     plan_error(api::PlanErrorCode::kUnavailable,
+                                "daemon shutting down before the search "
+                                "started"));
 
   if (!options_.trace_dir.empty()) {
     obs::set_tracing_enabled(false);

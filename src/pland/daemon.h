@@ -24,9 +24,9 @@
 //     and a retry_after hint instead of letting queues (and client
 //     latency) grow without bound.
 //
-// Stats: the "stats" request exports EngineStats + CacheStats + claim
-// counters + per-tenant admission/completion/shed counters as JSON — the
-// observable surface BENCH_service.json and the CI smoke job read.
+// Every verb is answered through one writer of the protocol's Response
+// (protocol.h). The "stats" verb exports EngineStats + CacheStats + claim
+// and per-tenant counters, a document derived from their field lists.
 #pragma once
 
 #include <cstdint>
@@ -82,12 +82,9 @@ struct TenantStats {
   std::size_t queue_depth = 0;  ///< queued right now
 };
 
-/// Since PR 9 the daemon counters live in the engine's obs::Registry
-/// ("pland.requests" etc. — the `metrics` verb exports them alongside the
-/// engine's), and this struct is a causally-consistent snapshot view:
-/// collect_stats reads effects before causes (shed/protocol_errors before
-/// requests before connections), so `shed <= requests <= connections`
-/// holds in every snapshot even mid-storm.
+/// A causally-consistent snapshot of the daemon counters, which live in
+/// the engine's obs::Registry ("pland.requests" etc.): effects are read
+/// before causes, so `shed <= requests <= connections` holds mid-storm.
 struct DaemonStats {
   std::uint64_t connections = 0;      ///< accepted over the lifetime
   std::uint64_t requests = 0;         ///< plan envelopes received
@@ -103,7 +100,7 @@ struct DaemonStats {
   std::int64_t calibration_version = 0;
   std::vector<TenantStats> tenants;   ///< sorted by tenant name
 
-  /// The stats envelope body ("stats" value) the daemon serves.
+  /// The stats document, from this struct's field list (daemon.cpp).
   std::string to_json() const;
 };
 

@@ -1,14 +1,5 @@
-// karma-planctl — command-line client for karma-pland (DESIGN.md §12).
-//
-//   karma-planctl plan --socket S --request req.json [--out plan.json]
-//                      [--tenant T]
-//   karma-planctl stats --socket S
-//   karma-planctl metrics --socket S
-//   karma-planctl ping --socket S
-//   karma-planctl shutdown --socket S
-//   karma-planctl calibrate --socket S [--table table.json]
-//   karma-planctl example-request [--model NAME] [--batch N]
-//                                 [--fleet STRONG,WEAK] [--out req.json]
+// karma-planctl — command-line client for karma-pland (DESIGN.md §12);
+// usage() below lists the commands and their options.
 //
 // `plan` submits a request_io request artifact and writes the plan
 // artifact's exact wire bytes to --out (stdout when omitted) — the
@@ -102,36 +93,20 @@ int main(int argc, char** argv) {
   std::string socket_path, request_path, out_path, tenant, table_path;
   std::string model_name = "resnet50", fleet_spec;
   std::int64_t batch = 256;
-  for (int i = 2; i < argc; ++i) {
+  // Every option takes one value.
+  for (int i = 2; i < argc; i += 2) {
     const std::string arg = argv[i];
-    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (arg == "--socket" && v) {
-      socket_path = v;
-      ++i;
-    } else if (arg == "--request" && v) {
-      request_path = v;
-      ++i;
-    } else if (arg == "--table" && v) {
-      table_path = v;
-      ++i;
-    } else if (arg == "--out" && v) {
-      out_path = v;
-      ++i;
-    } else if (arg == "--tenant" && v) {
-      tenant = v;
-      ++i;
-    } else if (arg == "--batch" && v) {
-      batch = std::atoll(v);
-      ++i;
-    } else if (arg == "--model" && v) {
-      model_name = v;
-      ++i;
-    } else if (arg == "--fleet" && v) {
-      fleet_spec = v;
-      ++i;
-    } else {
-      return usage();
-    }
+    if (i + 1 == argc) return usage();
+    const char* v = argv[i + 1];
+    if (arg == "--socket") socket_path = v;
+    else if (arg == "--request") request_path = v;
+    else if (arg == "--table") table_path = v;
+    else if (arg == "--out") out_path = v;
+    else if (arg == "--tenant") tenant = v;
+    else if (arg == "--batch") batch = std::atoll(v);
+    else if (arg == "--model") model_name = v;
+    else if (arg == "--fleet") fleet_spec = v;
+    else return usage();
   }
 
   if (cmd == "example-request") {
@@ -175,39 +150,24 @@ int main(int argc, char** argv) {
   }
   karma::api::RemoteSession session = std::move(connected).value();
 
-  if (cmd == "ping") {
-    if (!session.ping()) {
-      std::fprintf(stderr, "karma-planctl: ping failed\n");
+  if (cmd == "ping" || cmd == "shutdown") {
+    if (!(cmd == "ping" ? session.ping() : session.shutdown_server())) {
+      std::fprintf(stderr, "karma-planctl: %s not acknowledged\n",
+                   cmd.c_str());
       return 3;
     }
-    std::printf("pong\n");
+    if (cmd == "ping") std::printf("pong\n");
     return 0;
   }
-  if (cmd == "shutdown") {
-    if (!session.shutdown_server()) {
-      std::fprintf(stderr, "karma-planctl: shutdown not acknowledged\n");
-      return 3;
-    }
-    return 0;
-  }
-  if (cmd == "stats") {
-    auto stats = session.stats_json();
-    if (!stats) {
+  if (cmd == "stats" || cmd == "metrics") {
+    auto document =
+        cmd == "stats" ? session.stats_json() : session.metrics_json();
+    if (!document) {
       std::fprintf(stderr, "karma-planctl: %s\n",
-                   stats.error().message.c_str());
+                   document.error().message.c_str());
       return 3;
     }
-    std::printf("%s\n", stats.value().c_str());
-    return 0;
-  }
-  if (cmd == "metrics") {
-    auto metrics = session.metrics_json();
-    if (!metrics) {
-      std::fprintf(stderr, "karma-planctl: %s\n",
-                   metrics.error().message.c_str());
-      return 3;
-    }
-    std::printf("%s\n", metrics.value().c_str());
+    std::printf("%s\n", document.value().c_str());
     return 0;
   }
   if (cmd == "calibrate") {
@@ -262,17 +222,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.describe().c_str());
     return e.code == karma::api::PlanErrorCode::kUnavailable ? 3 : 2;
   }
-  if (out_path.empty()) {
-    std::fwrite(plan.value().data(), 1, plan.value().size(), stdout);
-    std::fputc('\n', stdout);
-  } else {
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "karma-planctl: cannot write '%s'\n",
-                   out_path.c_str());
-      return 3;
-    }
-    out << plan.value() << '\n';
+  if (!write_file_or_stdout(out_path, plan.value())) {
+    std::fprintf(stderr, "karma-planctl: cannot write '%s'\n",
+                 out_path.c_str());
+    return 3;
   }
   return 0;
 }

@@ -5,8 +5,23 @@
 
 #include <cerrno>
 #include <cstring>
+#include <stdexcept>
 
 namespace karma::pland {
+
+void after_read(const Response& response) {
+  if (response.ok == response.error.has_value())
+    throw std::runtime_error("a response carries an error exactly when not ok");
+  const auto object = [](const api::RawJson& json) {
+    return json.value && json.value->type == util::json::Value::Type::kObject;
+  };
+  const std::string& type = response.head.type;
+  if (response.ok && ((type == "plan" && !object(response.plan)) ||
+                      (type == "stats" && !object(response.stats)) ||
+                      (type == "metrics" && !object(response.metrics)) ||
+                      (type == "calibrate" && !response.calibration)))
+    throw std::runtime_error("a '" + type + "' response lacks its result");
+}
 
 namespace {
 

@@ -4,55 +4,106 @@
 // Framing is deliberately minimal: a 4-byte little-endian unsigned payload
 // length, then exactly that many bytes of UTF-8 JSON. One frame = one
 // envelope. The envelopes carry the repo's EXISTING versioned artifacts —
-// a plan request is request_io's request JSON, a plan is plan_io's v2
-// artifact, an error is request_io's error JSON — spliced in verbatim
-// (util::json::Writer::raw), so the bytes a client receives for a plan
-// are byte-identical to the leader's Plan::to_json(). The storm test's
-// "byte-identical artifacts fleet-wide" assertion rides on that.
+// a plan request is request_io's request JSON (the client writes it in
+// place), and a plan is plan_io's v2 artifact, spliced in verbatim
+// (api::RawJson), so the bytes a client receives for a plan are
+// byte-identical to the leader's Plan::to_json(). The storm test's
+// "byte-identical artifacts fleet-wide" assertion rides on that. An error
+// is a PlanError object of its own field list.
 //
-// Request envelopes (client -> daemon), all with a caller-chosen `id`
-// echoed in the response so clients may pipeline:
-//   {"v":1,"type":"plan","id":N,"tenant":"...","request":{...}}
-//   {"v":1,"type":"stats","id":N}
-//   {"v":1,"type":"metrics","id":N}
-//   {"v":1,"type":"ping","id":N}
-//   {"v":1,"type":"shutdown","id":N}
-//   {"v":1,"type":"calibrate","id":N,"table":{...}}   (null table clears)
-//
-// Response envelopes (daemon -> client):
-//   {"v":1,"type":"plan","id":N,"ok":true,"plan":{...}}
-//   {"v":1,"type":"plan","id":N,"ok":false,"error":{...}}
-//   {"v":1,"type":"stats","id":N,"ok":true,"stats":{...}}
-//   {"v":1,"type":"metrics","id":N,"ok":true,"metrics":{...}}
-//   {"v":1,"type":"pong","id":N,"ok":true}
-//   {"v":1,"type":"shutdown","id":N,"ok":true}
-//   {"v":1,"type":"calibrate","id":N,"ok":true,
-//    "calibration":"<hash>","calibration_version":V}
-//   {"v":1,"type":"error","id":N,"ok":false,"error":{...}}   (protocol)
-//
-// The metrics `metrics` value is the engine registry's deterministic
-// snapshot (obs::Registry::snapshot_json, DESIGN.md §15): every counter,
-// gauge, and latency histogram in the process — engine, cache, and
-// daemon instruments in one document.
-//
-// The calibrate `table` value is a calib::CalibrationTable JSON artifact
-// (table.h). Installing one re-keys every request under the table's
-// content hash engine-wide — stale cached plans become repair seeds
-// (calib/repair.h) — and flushes the daemon's request-digest memo.
+// Each envelope is one object of a field list below (Request or Response),
+// written and read through the api::JsonOut/JsonIn sinks
+// (src/api/request_fields.h), so both ends of the socket derive from the
+// same list. Every envelope carries the Header (`v`, `type`, `id`); a
+// caller-chosen `id` is echoed in the response so clients may pipeline.
+// The verbs are plan, stats, metrics, ping (answered "pong"), shutdown and
+// calibrate; a frame the daemon cannot act on is answered with type
+// "error". A response carries `ok`, plus `error` exactly when `ok` is
+// false, plus the member its verb returns.
 //
 // Frame reads/writes are blocking with EINTR retry; a frame larger than
-// kMaxFrameBytes is a protocol error (the daemon answers one "error"
-// envelope where it can, then closes — resynchronizing a corrupt length
-// prefix is not possible).
+// kMaxFrameBytes is a protocol error (the daemon counts it and closes —
+// resynchronizing a corrupt length prefix is not possible).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+
+#include "src/api/request_fields.h"
 
 namespace karma::pland {
 
 inline constexpr int kProtocolVersion = 1;
+
+/// The members every envelope carries, in both directions.
+struct Header {
+  std::string type;
+  std::int64_t id = 0;
+};
+
+/// Client -> daemon. The plan request travels as `Body`: the client writes
+/// its PlanRequest in place as a request_io artifact, and the daemon reads
+/// back the exact span of those bytes (Request). RawJson members point at
+/// text the writer keeps alive, or into the parsed frame.
+template <class Body>
+struct RequestOf {
+  Header head;
+  std::string tenant{};  ///< plan: fairness account; "" = anonymous
+  Body request{};        ///< plan: the request
+  /// calibrate: a CalibrationTable (calib/table.h) to install node-wide,
+  /// re-keying every request under its hash; null clears it.
+  api::RawJson table{};
+};
+using Request = RequestOf<api::RawJson>;
+
+/// Daemon -> client.
+struct Response {
+  Header head;
+  bool ok = true;
+  api::RawJson plan{};  ///< plan: the leader's Plan::to_json() bytes
+  std::optional<api::PlanError> error{};  ///< exactly when !ok
+  api::RawJson stats{};    ///< stats: the DaemonStats document
+  api::RawJson metrics{};  ///< metrics: the registry snapshot (§15)
+  std::optional<std::string> calibration{};  ///< calibrate: the active hash
+  std::optional<std::int64_t> calibration_version{};  ///< 0 = uncalibrated
+};
+
+/// The plan request member's name, which the daemon also scans for.
+inline constexpr const char* kRequestMember = "request";
+
+template <class V, api::Is<Header> H>
+void fields(V& v, H& h) {
+  v("v", kProtocolVersion, api::SchemaVersion{});
+  v("type", h.type);
+  v("id", h.id);
+}
+
+/// One list for both bodies of the request envelope.
+template <class V, class R>
+  requires api::Is<R, RequestOf<decltype(R::request)>>
+void fields(V& v, R& r) {
+  v("", r.head, api::Inline{});
+  v("tenant", r.tenant, api::IfNotDefault{});
+  v(kRequestMember, r.request, api::IfNotDefault{});
+  v("table", r.table, api::IfNotDefault{});
+}
+
+template <class V, api::Is<Response> R>
+void fields(V& v, R& r) {
+  v("", r.head, api::Inline{});
+  v("ok", r.ok);
+  v("plan", r.plan, api::IfNotDefault{});
+  v("error", r.error, api::IfNotDefault{});
+  v("stats", r.stats, api::IfNotDefault{});
+  v("metrics", r.metrics, api::IfNotDefault{});
+  v("calibration", r.calibration, api::IfNotDefault{});
+  v("calibration_version", r.calibration_version, api::IfNotDefault{});
+}
+
+/// A response's `error` is attached exactly when `ok` is false.
+void after_read(const Response& response);
 
 /// Hard bound on one frame's payload. Plan artifacts for the paper's
 /// models weigh tens of KB; 64 MiB leaves orders of magnitude of headroom

@@ -75,10 +75,10 @@ void Writer::string(std::string_view s) {
 // Value accessors
 // ---------------------------------------------------------------------------
 
-const Value& Value::at(const std::string& k) const {
+const Value& Value::at(std::string_view k) const {
   const auto it = object.find(k);
   if (it == object.end())
-    throw std::runtime_error("missing key '" + k + "'");
+    throw std::runtime_error("missing key '" + std::string(k) + "'");
   return it->second;
 }
 
@@ -106,6 +106,11 @@ bool Value::as_bool() const {
 const std::vector<Value>& Value::as_array() const {
   if (type != Type::kArray) throw std::runtime_error("expected array");
   return array;
+}
+
+const Value::Object& Value::as_object() const {
+  if (type != Type::kObject) throw std::runtime_error("expected object");
+  return object;
 }
 
 int as_int32(const Value& v, const char* what) {

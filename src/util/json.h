@@ -33,6 +33,13 @@ namespace karma::util::json {
 /// order; equal inputs produce byte-identical output.
 class Writer {
  public:
+  Writer() = default;
+  /// Writes into `buffer`'s storage (its contents are dropped), so a
+  /// caller that hands back what take() returned allocates nothing anew.
+  explicit Writer(std::string buffer) : out_(std::move(buffer)) {
+    out_.clear();
+  }
+
   std::string take() { return std::move(out_); }
 
   void begin_object() { punct('{'); }
@@ -59,7 +66,7 @@ class Writer {
   /// envelope embed an already-byte-stable artifact (e.g. a plan inside a
   /// wire response) without reparse/rewrite drift. The caller guarantees
   /// `json` is one well-formed JSON value.
-  void raw(const std::string& json) {
+  void raw(std::string_view json) {
     comma();
     out_ += json;
   }
@@ -97,7 +104,9 @@ struct Value {
   bool integral = false;  ///< number was written without '.'/'e'
   std::string str;
   std::vector<Value> array;
-  std::map<std::string, Value> object;
+  /// Transparent comparator: lookups by string_view build no std::string.
+  using Object = std::map<std::string, Value, std::less<>>;
+  Object object;
   /// Source span: [begin, end) offsets of this value's text in the parsed
   /// input. Lets an envelope consumer recover a nested artifact's EXACT
   /// original bytes (e.g. a plan embedded in a wire response) and reparse
@@ -111,13 +120,14 @@ struct Value {
     return input.substr(begin, end - begin);
   }
 
-  const Value& at(const std::string& k) const;
-  bool has(const std::string& k) const { return object.count(k) != 0; }
+  const Value& at(std::string_view k) const;
+  bool has(std::string_view k) const { return object.contains(k); }
   std::int64_t as_int() const;
   double as_double() const;
   const std::string& as_string() const;
   bool as_bool() const;
   const std::vector<Value>& as_array() const;
+  const Object& as_object() const;
   bool is_null() const { return type == Type::kNull; }
 };
 

@@ -5,11 +5,13 @@
 // ./test_api), and the totality of the plan-side decoders.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "src/api/plan_io.h"
+#include "src/api/request_fields.h"
 #include "src/api/request_io.h"
 #include "src/api/engine.h"
 #include "src/core/distributed.h"
@@ -298,6 +300,41 @@ TEST(Session, ByteCountsThatOverflowInt64AreAnInvalidRequest) {
   EXPECT_TRUE(is_invalid(4, attention));
   attention.heads = 1;
   EXPECT_FALSE(outcome(4, attention).has_value());
+}
+
+TEST(Session, ModelByteTotalsThatOverflowInt64AreAnInvalidRequest) {
+  // Every layer passes its own byte checks, but the memory model's sums
+  // over them (range_memory, in_core_footprint) would overflow int64.
+  const auto engine = Engine::create();
+  graph::Layer input;
+  input.name = "input";
+  input.kind = graph::LayerKind::kInput;
+  input.in_shape = input.out_shape = graph::TensorShape({4, 8});
+  const auto is_invalid = [&](std::int64_t width, int fc_layers,
+                              double act_scale) {
+    std::vector<graph::Layer> layers{input};
+    for (int i = 0; i < fc_layers; ++i) {
+      graph::Layer fc;
+      fc.name = "fc" + std::to_string(i);
+      fc.kind = graph::LayerKind::kFullyConnected;
+      fc.in_shape = fc.out_shape = graph::TensorShape({width, width});
+      fc.weight_elems = 64;
+      layers.push_back(fc);
+    }
+    PlanRequest request;
+    request.model = graph::Model("total", 4, std::move(layers));
+    request.model.set_activation_memory_scale(act_scale);
+    request.device = sim::test_device();
+    const auto o = engine->try_cached(request);
+    return o && !o->has_value() &&
+           o->error().code == PlanErrorCode::kInvalidRequest;
+  };
+  EXPECT_FALSE(is_invalid(8, 3, 1.0));  // valid: a plain miss
+  EXPECT_TRUE(is_invalid(INT64_C(1) << 30, 3, 1.0));  // 2^62 bytes each
+  // An act_scale that scales a fitting layer past int64.
+  EXPECT_TRUE(is_invalid(INT64_C(1) << 29, 1, 1e6));
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL})
+    EXPECT_TRUE(is_invalid(8, 3, bad)) << bad;
 }
 
 TEST(Session, SingleLayerOverflowNamesLayerBlockAndDeficit) {
@@ -611,11 +648,12 @@ TEST(PlanIo, FleetPlanGoldenFixtureMatches) {
 
 TEST(PlanIo, ErrorGoldenFixtureMatches) {
   const std::string expected =
-      check_golden("error_fixture.json", error_to_json(golden_error()));
+      check_golden("error_fixture.json", write_json(golden_error()));
   if (expected.empty()) GTEST_SKIP() << "regenerated error_fixture.json";
-  const PlanError reloaded = error_from_json(expected);
-  ASSERT_NE(reloaded.partial, nullptr) << reloaded.message;
-  EXPECT_EQ(error_to_json(reloaded), expected);
+  PlanError reloaded;
+  JsonIn::read(util::json::parse(expected), reloaded);
+  ASSERT_NE(reloaded.partial, nullptr);
+  EXPECT_EQ(write_json(reloaded), expected);
 }
 
 /// `json` with the text of `member`, a value parsed from it, replaced.
@@ -684,9 +722,10 @@ TEST(PlanIo, EveryProperPrefixOfAFixtureIsAStructuredError) {
   }
   const std::string error = golden_text("error_fixture.json");
   for (std::size_t n = 0; n < error.size(); ++n)
-    ASSERT_EQ(error_from_json(std::string_view(error).substr(0, n)).code,
-              PlanErrorCode::kParseError)
-        << "error prefix " << n;
+    ASSERT_ANY_THROW({
+      PlanError e;
+      JsonIn::read(util::json::parse(std::string_view(error).substr(0, n)), e);
+    }) << "error prefix " << n;
 }
 
 }  // namespace

@@ -138,6 +138,14 @@ TEST(ProfileArtifact, RejectsBadVersionSkipsUnknownKinds) {
   EXPECT_EQ(sparse.samples[0].kind, CostKind::kH2d);
 }
 
+TEST(ProfileArtifact, WrongTypedSamplesAreRejected) {
+  // A number where the sample array belongs is corrupt, not zero samples.
+  EXPECT_THROW(ProfileArtifact::from_json("{\"version\":1,\"device_class\":"
+                                          "\"x\",\"model_name\":\"\","
+                                          "\"samples\":5}"),
+               std::runtime_error);
+}
+
 TEST(ProfileArtifact, GoldenFixtureMatches) {
   const std::string path =
       std::string(KARMA_SOURCE_DIR) + "/tests/golden/profile_fixture.json";
@@ -276,6 +284,18 @@ TEST(CalibrationTable, RejectsMalformedTables) {
   EXPECT_THROW(CalibrationTable::from_json(
                    "{\"version\":1,\"factors\":{\"d\":{\"h2d\":1e999}}}"),
                std::runtime_error);
+}
+
+TEST(CalibrationTable, WrongTypedFactorsAreRejected) {
+  // Read as an empty table, "factors":5 would re-key every request under
+  // the identity table's hash.
+  for (const char* factors : {"5", "[]", "\"x\"", "{\"d\":5}",
+                              "{\"d\":[1.5]}"})
+    EXPECT_THROW(CalibrationTable::from_json(
+                     std::string("{\"version\":1,\"factors\":") + factors +
+                     ",\"sample_count\":0,\"rejected_outliers\":0}"),
+                 std::runtime_error)
+        << factors;
 }
 
 TEST(CalibrationTable, GoldenFixtureMatches) {

@@ -437,6 +437,13 @@ TEST(EnumNames, EveryEnumeratorsNameMapsBackToIt) {
 // PlanError artifacts
 // ---------------------------------------------------------------------------
 
+/// `e` through its field list's writer and reader.
+PlanError round_trip(const PlanError& e) {
+  PlanError back;
+  JsonIn::read(util::json::parse(write_json(e)), back);
+  return back;
+}
+
 TEST(RequestIo, ErrorRoundTripPreservesEveryField) {
   PlanError e;
   e.code = PlanErrorCode::kTierOverflow;
@@ -453,7 +460,7 @@ TEST(RequestIo, ErrorRoundTripPreservesEveryField) {
   e.from_negative_cache = true;
   e.retry_after = 0.25;
 
-  const PlanError back = error_from_json(error_to_json(e));
+  const PlanError back = round_trip(e);
   EXPECT_EQ(back.code, e.code);
   EXPECT_EQ(back.message, e.message);
   EXPECT_EQ(back.model, e.model);
@@ -483,15 +490,16 @@ TEST(RequestIo, ErrorRoundTripCarriesThePartialPlanByteExactly) {
   e.message = "out of budget";
   e.partial = std::make_shared<const Plan>(planned.value());
 
-  const PlanError back = error_from_json(error_to_json(e));
+  const PlanError back = round_trip(e);
   EXPECT_EQ(back.code, PlanErrorCode::kDeadline);
   ASSERT_NE(back.partial, nullptr);
   EXPECT_EQ(back.partial->to_json(), planned.value().to_json());
 }
 
-TEST(RequestIo, MalformedErrorDegradesToAParseError) {
-  const PlanError e = error_from_json("{\"garbage\":true}");
-  EXPECT_EQ(e.code, PlanErrorCode::kParseError);
+TEST(RequestIo, MalformedErrorIsRejected) {
+  PlanError e;
+  EXPECT_THROW(JsonIn::read(util::json::parse("{\"garbage\":true}"), e),
+               std::runtime_error);
 }
 
 }  // namespace
