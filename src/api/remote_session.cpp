@@ -65,7 +65,7 @@ RemoteSession::~RemoteSession() {
 
 struct RemoteSession::Reply {
   std::string frame;
-  util::json::Value root;
+  util::json::Document root;
   pland::Response response;  ///< its RawJson members view `frame`/`root`
 };
 

@@ -666,11 +666,12 @@ class JsonIn {
   void operator()(const char* key, std::uint64_t& x, DecimalText) {
     // Unsigned decimal digits only: from_chars takes no sign, space or
     // base prefix for an unsigned type, and reports overflow.
-    const std::string& s = object_.at(key).as_string();
+    const std::string_view s = object_.at(key).as_string();
     const char* end = s.data() + s.size();
     const auto [stop, ec] = std::from_chars(s.data(), end, x);
     if (ec != std::errc() || stop != end)
-      throw std::runtime_error("bad " + std::string(key) + " '" + s + "'");
+      throw std::runtime_error("bad " + std::string(key) + " '" +
+                               std::string(s) + "'");
   }
 
   /// Reads `x` from `v`, one object of its field list, then runs its
@@ -778,7 +779,7 @@ template <class T, class Json>
 Expected<T, PlanError> read_json(const Json& json, const char* reader) {
   try {
     T x;
-    if constexpr (std::is_same_v<Json, util::json::Value>)
+    if constexpr (std::is_base_of_v<util::json::Value, Json>)
       JsonIn::read(json, x);
     else
       JsonIn::read(util::json::parse(json), x);

@@ -13,14 +13,25 @@ std::string request_to_json(const PlanRequest& request) {
 
 Expected<PlanRequest, PlanError> request_from_json(std::string_view json) {
   try {
-    util::json::Value root = util::json::parse(json);
+    const util::json::Document root = util::json::parse(json);
     // v1 (pre-fleet) payloads stay readable: a v1 request is a v2 request
-    // without a fleet.
-    const auto version = root.object.find("version");
-    if (version != root.object.end() && version->second.integral &&
-        version->second.integer == 1) {
-      version->second.integer = kRequestJsonVersion;
-      root.object["fleet"] = util::json::Value{};
+    // without a fleet, so it is rewritten as one, every other member
+    // verbatim.
+    if (root.has("version") && root.at("version").integral &&
+        root.at("version").integer == 1) {
+      util::json::Writer w;
+      w.begin_object();
+      w.key("version");
+      w.value(kRequestJsonVersion);
+      w.key("fleet");
+      w.null();
+      for (const auto& [key, value] : root.as_object()) {
+        if (key == "version" || key == "fleet") continue;
+        w.key(key);
+        w.raw(value.span(json));
+      }
+      w.end_object();
+      return read_json<PlanRequest>(w.take(), "request_from_json");
     }
     return read_json<PlanRequest>(root, "request_from_json");
   } catch (const std::exception& ex) {

@@ -56,7 +56,7 @@ std::string ProfileArtifact::to_json() const {
 }
 
 ProfileArtifact ProfileArtifact::from_json(std::string_view text) {
-  const json::Value root = json::parse(text);
+  const json::Document root = json::parse(text);
   ProfileArtifact p;
   p.version = json::as_int32(root.at("version"), "profile version");
   if (p.version != kProfileJsonVersion)

@@ -52,22 +52,26 @@ std::string CalibrationTable::to_json() const {
 }
 
 CalibrationTable CalibrationTable::from_json(std::string_view text) {
-  const json::Value root = json::parse(text);
+  const json::Document root = json::parse(text);
   CalibrationTable t;
   t.version = json::as_int32(root.at("version"), "calibration version");
   if (t.version != kCalibrationJsonVersion)
     throw std::runtime_error("CalibrationTable: unsupported version " +
                              std::to_string(t.version));
+  // A duplicated class or kind keeps its first occurrence, unchecked
+  // beyond being well-formed JSON.
   for (const auto& [cls, row] : root.at("factors").as_object()) {
+    if (t.factors.contains(std::string(cls))) continue;
     std::map<std::string, double> cells;
     for (const auto& [kind, f] : row.as_object()) {
+      if (cells.contains(std::string(kind))) continue;
       const double factor = f.as_double();
       if (!(factor > 0.0) || !std::isfinite(factor))
         throw std::runtime_error(
             "CalibrationTable: factor must be finite and positive");
-      cells[kind] = factor;
+      cells.emplace(kind, factor);
     }
-    t.factors[cls] = std::move(cells);
+    t.factors.emplace(cls, std::move(cells));
   }
   if (root.has("sample_count"))
     t.sample_count = root.at("sample_count").as_int();

@@ -66,8 +66,6 @@ namespace karma::pland {
 
 namespace {
 
-using util::json::Value;
-
 using Outcome = api::Expected<api::Plan, api::PlanError>;
 
 /// One accepted client. The reader thread and the plan workers share it;
@@ -374,7 +372,7 @@ struct Daemon::Impl {
                           std::string::npos);
         }
         const std::string_view text = hollowed.empty() ? payload : hollowed;
-        const Value root = util::json::parse(text);
+        const util::json::Document root = util::json::parse(text);
         api::JsonIn::read(root, request, text);
         if (!request_span.empty()) request.request = {request_span};
         parse_span.end();

@@ -1,6 +1,7 @@
 #include "src/pland/protocol.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -25,23 +26,6 @@ void after_read(const Response& response) {
 
 namespace {
 
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    // MSG_NOSIGNAL: a peer that hung up mid-response must surface as an
-    // EPIPE return, never a process-killing SIGPIPE — one disconnecting
-    // client cannot be allowed to take down the multi-tenant daemon (or a
-    // client library's host process).
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Reads exactly `size` bytes. Returns bytes read (== size on success; 0 =
 /// clean EOF before the first byte; anything else = truncated/error).
 std::size_t read_all(int fd, char* data, std::size_t size) {
@@ -64,12 +48,37 @@ bool write_frame(int fd, std::string_view payload) {
   if (payload.size() > kMaxFrameBytes) return false;
   const auto len = static_cast<std::uint32_t>(payload.size());
   // Little-endian by construction, independent of host order.
-  const char prefix[4] = {
+  char prefix[4] = {
       static_cast<char>(len & 0xff), static_cast<char>((len >> 8) & 0xff),
       static_cast<char>((len >> 16) & 0xff),
       static_cast<char>((len >> 24) & 0xff)};
-  return write_all(fd, prefix, 4) &&
-         write_all(fd, payload.data(), payload.size());
+  // Prefix and payload leave in one sendmsg, so the reader wakes once per
+  // frame; a partial send resumes where it stopped.
+  iovec parts[2] = {{prefix, sizeof prefix},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = parts;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a peer that hung up mid-response must surface as an
+    // EPIPE return, never a process-killing SIGPIPE — one disconnecting
+    // client cannot be allowed to take down the multi-tenant daemon (or a
+    // client library's host process).
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    auto sent = static_cast<std::size_t>(n);
+    for (; msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len;
+         ++msg.msg_iov, --msg.msg_iovlen)
+      sent -= msg.msg_iov->iov_len;
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return true;
 }
 
 ReadStatus read_frame(int fd, std::string* payload) {

@@ -669,7 +669,7 @@ TEST(PlanIo, WrongTypedFieldIsAParseError) {
   // list: the plan would silently lose its stage annotations, its storage
   // hierarchy or its gradient exchange.
   const std::string plan = golden_text("plan_fixture.json");
-  const util::json::Value root = util::json::parse(plan);
+  const util::json::Document root = util::json::parse(plan);
   const util::json::Value& schedule = root.at("schedule");
   for (const auto& [member, text] :
        {std::pair{&schedule.at("stage_of"), "5"},
@@ -680,7 +680,7 @@ TEST(PlanIo, WrongTypedFieldIsAParseError) {
     EXPECT_EQ(parsed.error().code, PlanErrorCode::kParseError);
   }
   const std::string placement = golden_text("placement_fixture.json");
-  const util::json::Value fleet = util::json::parse(placement);
+  const util::json::Document fleet = util::json::parse(placement);
   for (const char* key : {"owner", "nodes"}) {
     const auto parsed =
         placement_from_json(with_member(placement, fleet.at(key), "5"));
@@ -691,7 +691,7 @@ TEST(PlanIo, WrongTypedFieldIsAParseError) {
 
 TEST(PlanIo, PlacementIndicesOutsideTheNodesAreParseErrors) {
   const std::string placement = golden_text("placement_fixture.json");
-  const util::json::Value root = util::json::parse(placement);
+  const util::json::Document root = util::json::parse(placement);
   for (const auto& [key, text] :
        {std::pair{"owner", "[2,0]"}, std::pair{"owner", "[1]"},
         std::pair{"straggler", "2"}, std::pair{"straggler", "-2"}}) {

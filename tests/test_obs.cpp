@@ -221,7 +221,7 @@ TEST(Span, EnabledSpansDrainInOrderWithPhasesAndArgs) {
 
   // The drained events render as parseable Chrome trace JSON.
   const auto root = util::json::parse(obs::chrome_trace_json(events));
-  const auto& rendered = root.at("traceEvents").array;
+  const auto& rendered = root.at("traceEvents").as_array();
   ASSERT_EQ(rendered.size(), 3u);
   EXPECT_EQ(rendered[0].at("ph").as_string(), "i");
   EXPECT_EQ(rendered[2].at("args").at("depth").as_int(), 1);
@@ -286,11 +286,11 @@ TEST(ChromeTraceExport, GoldenResNet50TimelineMatches) {
   // Structure: parseable, with stream metadata, op slices, stalls
   // attributed, and residency counter tracks.
   const auto root = util::json::parse(actual);
-  const auto& events = root.at("traceEvents").array;
+  const auto& events = root.at("traceEvents").as_array();
   ASSERT_GT(events.size(), 10u);
   bool saw_thread_meta = false, saw_slice = false, saw_counter = false;
   for (const auto& ev : events) {
-    const std::string& ph = ev.at("ph").as_string();
+    const std::string_view ph = ev.at("ph").as_string();
     if (ph == "M") saw_thread_meta = true;
     if (ph == "X") saw_slice = true;
     if (ph == "C") saw_counter = true;
@@ -416,7 +416,7 @@ TEST(DaemonObservability, MetricsVerbAndTraceDirCoverTheRequestLifecycle) {
   buffer << in.rdbuf();
   const std::string trace_json = buffer.str();
   const auto trace_root = util::json::parse(trace_json);
-  EXPECT_GT(trace_root.at("traceEvents").array.size(), 0u);
+  EXPECT_GT(trace_root.at("traceEvents").as_array().size(), 0u);
   for (const char* span : {"pland.queue_wait", "pland.plan_miss",
                            "request.parse", "engine.cache_lookup",
                            "engine.search", "opt1.enumerate", "opt1.anneal",

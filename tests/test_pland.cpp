@@ -219,6 +219,7 @@ TEST(Daemon, SecondDaemonRefusesALiveSocket) {
 // The wire protocol, frame by frame
 // ---------------------------------------------------------------------------
 
+using util::json::Document;
 using util::json::Value;
 
 /// Connects a unix stream socket to `path`; -1 on failure.
@@ -243,7 +244,7 @@ struct RawClient {
     if (fd >= 0) ::close(fd);
   }
   /// Sends `frame` and parses the one response frame (kept in `reply`).
-  Value call(const std::string& frame) {
+  Document call(const std::string& frame) {
     EXPECT_TRUE(pland::write_frame(fd, frame));
     EXPECT_EQ(pland::read_frame(fd, &reply), pland::ReadStatus::kOk);
     return util::json::parse(reply);
@@ -270,7 +271,7 @@ TEST(Protocol, EnvelopesOfThePreviousClientAreStillAnswered) {
   };
 
   const api::PlanRequest request = resnet_request();
-  Value r = client.call(
+  Document r = client.call(
       R"({"v":1,"type":"plan","id":1,"tenant":"tenant-a","request":)" +
       api::request_to_json(request) + "}");
   header(r, "plan", 1);
@@ -320,16 +321,19 @@ TEST(Protocol, EachMalformedFrameGetsOneErrorAndTheConnectionLives) {
       R"({"v":1,"type":"plan","id":4,"tenant":5,"request":)" + request + "}",
       R"({"v":1,"type":"plan","id":5,"tenant":"t"})",
       R"({"v":1,"type":"calibrate","id":6})",
+      // Nested past the parser's depth bound: a parse error, not a stack
+      // overflow on the connection thread.
+      std::string(1000000, '['),
   };
   for (std::size_t i = 0; i < frames.size(); ++i) {
     SCOPED_TRACE(frames[i].substr(0, 60));
-    const Value error = client.call(frames[i]);
+    const Document error = client.call(frames[i]);
     EXPECT_EQ(error.at("type").as_string(), "error");
     EXPECT_FALSE(error.at("ok").as_bool());
     EXPECT_EQ(error.at("error").at("code").as_string(), kInvalidRequest);
     EXPECT_EQ(fx.daemon->stats().protocol_errors, i + 1);
     // The next frame on the same connection is the pong: one answer each.
-    const Value pong = client.call(R"({"v":1,"type":"ping","id":99})");
+    const Document pong = client.call(R"({"v":1,"type":"ping","id":99})");
     EXPECT_EQ(pong.at("type").as_string(), "pong");
     EXPECT_EQ(pong.at("id").as_int(), 99);
   }
@@ -341,7 +345,7 @@ TEST(Protocol, CalibrateWithAWrongTypedTableIsRefused) {
   ASSERT_TRUE(fx.daemon->start());
   RawClient client(fx.daemon->socket_path());
   const std::string before = fx.daemon->engine()->calibration_hash();
-  const Value r = client.call(
+  const Document r = client.call(
       R"({"v":1,"type":"calibrate","id":3,"table":{"version":1,)"
       R"("factors":5,"sample_count":0,"rejected_outliers":0}})");
   EXPECT_FALSE(r.at("ok").as_bool());
@@ -460,12 +464,12 @@ TEST(Protocol, ClientEnvelopesCarryWhatTheDaemonReads) {
   std::set<std::int64_t> ids;
   for (std::size_t i = 0; i < types.size(); ++i) {
     const std::string& text = fake.received[i];
-    const Value frame = util::json::parse(text);
+    const Document frame = util::json::parse(text);
     EXPECT_EQ(frame.at("v").as_int(), pland::kProtocolVersion);
     EXPECT_EQ(frame.at("type").as_string(), types[i]);
     EXPECT_TRUE(ids.insert(frame.at("id").as_int()).second);
   }
-  const Value plan = util::json::parse(fake.received[0]);
+  const Document plan = util::json::parse(fake.received[0]);
   EXPECT_EQ(plan.at("tenant").as_string(), "tenant-a");
   EXPECT_EQ(plan.at("request").span(fake.received[0]),
             api::request_to_json(resnet_request()));

@@ -198,6 +198,21 @@ TEST(RequestIo, MalformedRequestIsAParseError) {
   }
 }
 
+TEST(RequestIo, DeepNestingIsAParseErrorNotACrash) {
+  // Past util::json::kMaxDepth the parser refuses; unbounded, a million
+  // brackets overflowed the stack of whichever thread parsed them.
+  const std::string brackets(1'000'000, '[');
+  const std::string in_a_member = "{\"version\":2,\"model\":" + brackets;
+  for (const std::string& deep : {brackets, in_a_member}) {
+    const auto request = request_from_json(deep);
+    ASSERT_FALSE(request.has_value());
+    EXPECT_EQ(request.error().code, PlanErrorCode::kParseError);
+    const auto plan = plan_from_json(deep);
+    ASSERT_FALSE(plan.has_value());
+    EXPECT_EQ(plan.error().code, PlanErrorCode::kParseError);
+  }
+}
+
 TEST(RequestIo, NegativeSeedIsAParseErrorNotAWrap) {
   // strtoull accepts "-1" and wraps it to 2^64-1 without ERANGE; the
   // reader must reject it instead of silently planning with a huge seed.
