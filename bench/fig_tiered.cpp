@@ -82,8 +82,9 @@ int run() {
       table.add_cell("-");
       continue;
     }
+    // A cache hit carries no per-op records, so check a fresh replay.
     const auto violations =
-        sim::check_trace_invariants(tiered->schedule, tiered->trace);
+        sim::check_trace_invariants(tiered->schedule, tiered->simulate());
     if (!violations.empty()) {
       std::printf("TRACE VIOLATION (batch %lld): %s\n",
                   static_cast<long long>(batch), violations[0].c_str());

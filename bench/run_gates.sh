@@ -3,11 +3,12 @@
 #
 #   bench/run_gates.sh [build-dir]     (default: build)
 #
-# The gated benches are the ones .github/workflows/ci.yml runs: each exits
-# non-zero when one of its gates fails. This script runs them all, even
-# after a failure, keeps each one's output in <build-dir>/gates/<bench>.log,
-# prints the tail of a failing bench's log, and exits non-zero if any gate
-# failed. BENCH_*.json artifacts land in the working directory, as in CI.
+# This is the one list of gated benches: .github/workflows/ci.yml runs this
+# script. Each bench exits non-zero when one of its gates fails. The script
+# runs them all, even after a failure, keeps each one's output in
+# <build-dir>/gates/<bench>.log, prints the tail of a failing bench's log,
+# and exits non-zero if any gate failed. BENCH_*.json artifacts land in the
+# working directory.
 set -u
 
 build_dir="${1:-build}"

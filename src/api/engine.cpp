@@ -788,10 +788,6 @@ Engine::Engine(EngineOptions options)
   cache::PlanCache::Options opts;
   opts.memory_capacity_bytes = cache_options.cache_memory_bytes;
   opts.dir = cache_options.cache_dir;
-  opts.read_only =
-      cache_options.cache_mode == SessionOptions::CacheMode::kReadOnly;
-  opts.negative_cache =
-      cache_options.cache_mode != SessionOptions::CacheMode::kPositiveOnly;
   impl_->cache = std::make_shared<cache::PlanCache>(std::move(opts));
 
   // Mirror the cache's own counters into registry gauges at snapshot
@@ -1130,12 +1126,8 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
   // leader's artifact. The claim only coordinates DEDUP — if claiming
   // fails for I/O reasons we fall through and search anyway; correctness
   // never depends on it.
-  // Read-only engines stay out entirely: a claim file is a store
-  // mutation, and a read-only leader could never publish the artifact its
-  // followers would be waiting on.
   cache::DiskStore::Claim fleet_claim;  // released (unlink+close) on return
-  if (flight->listed && impl_->cache &&
-      options_.cache.cache_mode != SessionOptions::CacheMode::kReadOnly) {
+  if (flight->listed && impl_->cache) {
     if (cache::DiskStore* disk = impl_->cache->disk()) {
       obs::Span claim_span("engine.claim_wait", "engine");
       for (bool waiting = true; waiting;) {
@@ -1195,8 +1187,7 @@ void Engine::run_flight(const std::shared_ptr<Flight>& flight) {
             plan_uncached(flight->request, flight->planner_options,
                           flight->reserved_host, flight->control, on_best,
                           flight->repair_seed.get());
-        // Only completed searches are cached; read-only enforcement lives
-        // in PlanCache (insert no-ops) — one authority for the policy.
+        // Only completed searches are cached.
         if (flight->listed && impl_->cache)
           impl_->cache->insert(flight->key, artifact);
         settle(Outcome(std::move(artifact)));
@@ -1314,11 +1305,8 @@ void Engine::ensure_workers() {
   std::lock_guard<std::mutex> lock(impl_->jobs_mu);
   if (impl_->workers_started) return;
   impl_->workers_started = true;
-  std::size_t n = options_.num_workers;
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = std::clamp<std::size_t>(hw == 0 ? 2 : hw, 1, 8);
-  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t n = std::clamp<std::size_t>(hw == 0 ? 2 : hw, 1, 8);
   impl_->workers.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     impl_->workers.emplace_back([this] { worker_loop(); });

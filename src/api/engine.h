@@ -9,9 +9,11 @@
 //   - single-flight collapse: concurrent identical requests (same
 //     cache::RequestKey) share one search — one simulation storm, every
 //     waiter gets the bit-identical artifact;
-//   - a lazily started worker pool for plan_async() (synchronous plan()
-//     runs the search on the calling thread but still participates in
-//     single-flight as leader or joiner);
+//   - a lazily started worker pool for plan_async(), one thread per
+//     hardware thread clamped to [1, 8] (synchronous plan() runs the
+//     search on the calling thread but still participates in
+//     single-flight as leader or joiner; one carrying SearchLimits routes
+//     through the pool, so its search outlives the caller's wait);
 //   - cooperative cancellation: every search runs under a CancelToken
 //     whose effective deadline/budget is the *loosest* over the flight's
 //     interested waiters — one tenant's cancel or deadline never
@@ -54,13 +56,6 @@ struct EngineOptions {
   /// SessionOptions is historical — since v2 the cache belongs to the
   /// Engine and Sessions are handles onto it.
   SessionOptions cache;
-  /// Worker threads for plan_async(); 0 = auto (hardware concurrency,
-  /// clamped to [1, 8]). Workers start lazily on the first async submit.
-  /// Note: a synchronous plan() carrying SearchLimits also routes through
-  /// the pool (the search must outlive the caller's wait to keep
-  /// waiter-local limits honest), so only an Engine doing exclusively
-  /// unbounded synchronous plans stays thread-free.
-  std::size_t num_workers = 0;
 };
 
 /// Service-level counters (cache-level ones live in cache::CacheStats).

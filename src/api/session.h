@@ -138,8 +138,8 @@ struct Plan {
   std::vector<core::BlockPolicy> policies;
   /// Trace of the planning run. Its per-op records are transient — the
   /// JSON schema serializes only the scalar metrics (makespan, occupancy,
-  /// peaks) — so plans loaded from the disk cache carry an otherwise
-  /// empty trace; call simulate() to regenerate the full record
+  /// peaks) — so cache hits (memory or disk) carry an otherwise empty
+  /// trace; call simulate() to regenerate the full record
   /// deterministically.
   sim::ExecutionTrace trace;
   Seconds iteration_time = 0.0;  ///< steady-state iteration time
@@ -161,8 +161,8 @@ struct Plan {
 
   /// Opt-1/Opt-2 search-effort accounting from the planning run that
   /// produced this artifact (DESIGN.md §10). Transient diagnostics — NOT
-  /// part of the JSON schema: disk-loaded plans and distributed plans
-  /// carry zeros; memory-cache hits carry the original run's counters.
+  /// part of the JSON schema: only the plan a search returns carries
+  /// them; cache hits (memory or disk) and distributed plans carry zeros.
   core::SearchStats search_stats;
 
   const std::vector<sim::Block>& blocks() const { return schedule.blocks; }
@@ -207,11 +207,8 @@ struct Plan {
 /// cache), in memory only.
 struct SessionOptions {
   enum class CacheMode {
-    kEnabled,       ///< consult and populate both caches (default)
-    kReadOnly,      ///< consult only; never insert or write to disk
-    kBypass,        ///< no cache at all: every plan() runs the full search
-    kPositiveOnly,  ///< plan cache on, negative-result cache bypassed:
-                    ///< every infeasible request re-diagnoses
+    kEnabled,  ///< consult and populate both caches (default)
+    kBypass,   ///< no cache at all: every plan() runs the full search
   };
   CacheMode cache_mode = CacheMode::kEnabled;
   /// Max resident bytes of in-memory plan artifacts, counted as

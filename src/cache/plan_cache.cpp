@@ -21,7 +21,7 @@ PlanCache::PlanCache(Options options) : options_(std::move(options)) {
     disk_ = std::make_unique<DiskStore>(options_.dir);
 }
 
-bool PlanCache::put_locked(const RequestKey& key, const api::Plan& plan,
+bool PlanCache::put_locked(const RequestKey& key, api::Plan plan,
                            std::uint64_t bytes) {
   const auto capacity = static_cast<std::uint64_t>(
       options_.memory_capacity_bytes > 0 ? options_.memory_capacity_bytes : 0);
@@ -33,10 +33,10 @@ bool PlanCache::put_locked(const RequestKey& key, const api::Plan& plan,
     lru_.splice(lru_.begin(), lru_, it->second);
     stats_.resident_bytes -= lru_.begin()->bytes;
     stats_.resident_bytes += bytes;
-    lru_.begin()->plan = plan;
+    lru_.begin()->plan = std::move(plan);
     lru_.begin()->bytes = bytes;
   } else {
-    lru_.push_front(Entry{key, plan, bytes});
+    lru_.push_front(Entry{key, std::move(plan), bytes});
     index_.emplace(key, lru_.begin());
     stats_.resident_bytes += bytes;
   }
@@ -72,10 +72,8 @@ std::optional<api::Plan> PlanCache::lookup(const RequestKey& key,
     if (loaded.plan) {
       ++stats_.disk_hits;
       // Promote so repeated lookups skip the parse. Not counted as an
-      // insertion: nothing new entered the cache. Read-only caches never
-      // mutate any level, so they re-parse on every disk hit instead.
-      if (!options_.read_only)
-        put_locked(key, *loaded.plan, loaded.serialized_bytes);
+      // insertion: nothing new entered the cache.
+      put_locked(key, api::Plan(*loaded.plan), loaded.serialized_bytes);
       return std::move(loaded.plan);
     }
     if (!quiet) ++stats_.misses;
@@ -90,14 +88,19 @@ void PlanCache::insert(const RequestKey& key, const api::Plan& plan) {
   // One serialization feeds both levels: the LRU's byte accounting and
   // the disk write. Runs outside the lock (it can be milliseconds on
   // deep plans).
-  if (options_.read_only) return;
   const std::string json = plan.to_json();
+  // The LRU holds what the JSON carries, like a disk hit: the per-op
+  // records and the search stats are transient.
+  api::Plan kept = plan;
+  kept.trace.records.clear();
+  kept.trace.records.shrink_to_fit();
+  kept.search_stats = {};
   {
     std::lock_guard<std::mutex> lock(mu_);
     // insertions counts entries actually accepted into the memory level;
     // a disk-only cache (memory_capacity_bytes 0) reports disk_writes
     // instead.
-    if (put_locked(key, plan, json.size())) ++stats_.insertions;
+    if (put_locked(key, std::move(kept), json.size())) ++stats_.insertions;
   }
   // The atomic write happens outside the lock (DiskStore keeps its own
   // state race-free); only the counter update re-locks.
@@ -109,7 +112,6 @@ void PlanCache::insert(const RequestKey& key, const api::Plan& plan) {
 
 std::optional<api::PlanError> PlanCache::lookup_negative(const RequestKey& key,
                                                          bool want_probe) {
-  if (!options_.negative_cache) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = negative_index_.find(key);
   if (it == negative_index_.end()) return std::nullopt;
@@ -126,8 +128,6 @@ std::optional<api::PlanError> PlanCache::lookup_negative(const RequestKey& key,
 
 void PlanCache::insert_negative(const RequestKey& key,
                                 const api::PlanError& error, bool probed) {
-  if (!options_.negative_cache || options_.read_only) return;
-  if (options_.negative_capacity == 0) return;
   // Interrupted outcomes describe one caller's patience, not the request
   // (and internal errors describe a bug): memoizing them would poison
   // later (uncancelled) callers.
@@ -146,7 +146,7 @@ void PlanCache::insert_negative(const RequestKey& key,
   negative_lru_.push_front(NegativeEntry{key, error, probed});
   negative_index_.emplace(key, negative_lru_.begin());
   ++stats_.negative_insertions;
-  while (negative_lru_.size() > options_.negative_capacity) {
+  while (negative_lru_.size() > kNegativeCapacity) {
     negative_index_.erase(negative_lru_.back().key);
     negative_lru_.pop_back();
   }

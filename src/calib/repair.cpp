@@ -4,8 +4,8 @@
 
 namespace karma::calib {
 
-int repair_anneal_budget(int cold_iterations, double anneal_scale) {
-  return std::max(60, static_cast<int>(cold_iterations * anneal_scale));
+int repair_anneal_budget(int cold_iterations) {
+  return std::max(60, static_cast<int>(cold_iterations * 0.25));
 }
 
 core::PlanResult repair(const graph::Model& model,
@@ -17,8 +17,8 @@ core::PlanResult repair(const graph::Model& model,
                         const CancelToken& control,
                         double cold_search_seconds) {
   core::PlannerOptions planner_options = options.planner;
-  planner_options.anneal_iterations = repair_anneal_budget(
-      planner_options.anneal_iterations, options.anneal_scale);
+  planner_options.anneal_iterations =
+      repair_anneal_budget(planner_options.anneal_iterations);
   const core::KarmaPlanner planner(model, apply(table, device),
                                    planner_options);
   core::PlanResult result =

@@ -18,20 +18,18 @@
 namespace karma::calib {
 
 /// The anneal budget a warm-start repair search runs, given the cold
-/// budget: `anneal_scale` of it, floored at 60 iterations so tiny cold
-/// budgets still get a real refinement pass. Shared by repair() and the
-/// api::Engine's internal repair path, so the two agree by construction.
-int repair_anneal_budget(int cold_iterations, double anneal_scale = 0.25);
+/// budget: a quarter of it, floored at 60 iterations so tiny cold budgets
+/// still get a real refinement pass. The seed already sits near an
+/// optimum of a nearby cost surface; a quarter budget recovers the
+/// shifted optimum in practice while keeping repair well under cold
+/// wall-clock. Shared by repair() and the api::Engine's internal repair
+/// path, so the two agree by construction.
+int repair_anneal_budget(int cold_iterations);
 
 struct RepairOptions {
   /// Planner knobs for the repair search. anneal_iterations here is the
-  /// *cold* budget; repair runs anneal_scale of it.
+  /// *cold* budget; repair runs repair_anneal_budget() of it.
   core::PlannerOptions planner;
-  /// Fraction of the cold anneal budget the warm-start re-anneal gets
-  /// (floored at 60 iterations). The seed already sits near an optimum of
-  /// a nearby cost surface; a quarter budget recovers the shifted optimum
-  /// in practice while keeping repair well under cold wall-clock.
-  double anneal_scale = 0.25;
 };
 
 /// Repairs `seed_blocks`/`seed_policies` (a plan searched under the

@@ -95,8 +95,7 @@ double median_of(std::vector<double> v) {
 
 }  // namespace
 
-CalibrationTable fit(const std::vector<ProfileArtifact>& profiles,
-                     const FitOptions& options) {
+CalibrationTable fit(const std::vector<ProfileArtifact>& profiles) {
   CalibrationTable table;
   // Pool ratios per (device_class, kind) cell across every profile.
   std::map<std::string, std::map<std::string, std::vector<double>>> cells;
@@ -122,7 +121,7 @@ CalibrationTable fit(const std::vector<ProfileArtifact>& profiles,
         for (const double r : ratios) dev.push_back(std::fabs(r - med));
         const double mad = median_of(dev);
         const double band =
-            options.outlier_band * std::max(mad, 0.01 * std::fabs(med));
+            kFitOutlierBand * std::max(mad, 0.01 * std::fabs(med));
         std::vector<double> kept;
         kept.reserve(ratios.size());
         for (const double r : ratios)
@@ -131,8 +130,7 @@ CalibrationTable fit(const std::vector<ProfileArtifact>& profiles,
             static_cast<std::int64_t>(ratios.size() - kept.size());
         if (!kept.empty()) med = median_of(kept);
       }
-      table.factors[cls][kind] =
-          std::clamp(med, options.min_factor, options.max_factor);
+      table.factors[cls][kind] = std::clamp(med, kFitMinFactor, kFitMaxFactor);
     }
   }
   return table;

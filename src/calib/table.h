@@ -35,17 +35,16 @@ inline constexpr int kCalibrationJsonVersion = 1;
 /// no exact-name cell for the kind.
 inline constexpr const char* kAnyDeviceClass = "*";
 
-struct FitOptions {
-  /// Reject ratios farther than this many (scaled) MADs from the median.
-  /// Rejection only engages with >= 4 samples in a cell — below that the
-  /// median IS the robust estimate.
-  double outlier_band = 4.0;
-  /// Fitted factors are clamped to [min_factor, max_factor]: a correction
-  /// outside this range means the profile or the model is broken, and a
-  /// silently-huge factor would do more damage than a clamped one.
-  double min_factor = 0.05;
-  double max_factor = 20.0;
-};
+/// fit() rejects ratios farther than this many (scaled) MADs from the
+/// median. Rejection only engages with >= 4 samples in a cell — below
+/// that the median IS the robust estimate.
+inline constexpr double kFitOutlierBand = 4.0;
+/// Fitted factors are clamped to [kFitMinFactor, kFitMaxFactor]: a
+/// correction outside this range means the profile or the model is
+/// broken, and a silently-huge factor would do more damage than a
+/// clamped one.
+inline constexpr double kFitMinFactor = 0.05;
+inline constexpr double kFitMaxFactor = 20.0;
 
 struct CalibrationTable {
   int version = kCalibrationJsonVersion;
@@ -80,8 +79,7 @@ struct CalibrationTable {
 /// (device_class, kind) across profiles). Cells with no valid sample
 /// (predicted or measured <= 0) are omitted, so an empty profile set
 /// yields an empty — identity — table.
-CalibrationTable fit(const std::vector<ProfileArtifact>& profiles,
-                     const FitOptions& options = {});
+CalibrationTable fit(const std::vector<ProfileArtifact>& profiles);
 
 /// The overlay: returns `device` with its CostScale composed with the
 /// table's factors for device.name. Planner, Opt-1/Opt-2 search, and

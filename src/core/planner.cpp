@@ -12,7 +12,6 @@
 #include "src/obs/span.h"
 #include "src/sim/device.h"
 #include "src/solver/anneal.h"
-#include "src/solver/exhaustive.h"
 #include "src/util/infeasible.h"
 #include "src/util/par.h"
 #include "src/util/rng.h"

@@ -34,23 +34,6 @@ std::string format_bound(double v) {
   return buf;
 }
 
-/// Prometheus metric name: `karma_` prefix, [a-zA-Z0-9_] only.
-std::string prom_name(const std::string& name) {
-  std::string out = "karma_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9');
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-void append_double(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  *out += buf;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -262,44 +245,6 @@ std::string Registry::snapshot_json() {
   w.end_object();
   w.end_object();
   return w.take();
-}
-
-std::string Registry::prometheus_text() {
-  run_collectors();
-  std::string out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " counter\n";
-    out += p + " " + std::to_string(c->value()) + "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " gauge\n";
-    out += p + " ";
-    append_double(&out, g->value());
-    out += "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const Histogram::Snapshot s = h->snapshot();
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " histogram\n";
-    // Cumulative counts over the full static bound series, plus +Inf.
-    std::uint64_t cum = 0;
-    std::size_t next = 0;
-    for (double bound : Histogram::bounds()) {
-      while (next < s.buckets.size() && s.buckets[next].le <= bound)
-        cum += s.buckets[next++].count;
-      out += p + "_bucket{le=\"" + format_bound(bound) +
-             "\"} " + std::to_string(cum) + "\n";
-    }
-    out += p + "_bucket{le=\"+Inf\"} " + std::to_string(s.count) + "\n";
-    out += p + "_sum ";
-    append_double(&out, s.sum);
-    out += "\n";
-    out += p + "_count " + std::to_string(s.count) + "\n";
-  }
-  return out;
 }
 
 }  // namespace karma::obs

@@ -1,12 +1,12 @@
 // karma::obs pillar 1 — the metrics registry (DESIGN.md §15).
 //
 // Named counters, gauges, and fixed-bucket latency histograms behind one
-// process-visible registry with a deterministic JSON snapshot and a
-// Prometheus-style text exposition. The existing ad-hoc stat structs
-// (EngineStats, DaemonStats, CacheStats mirrors) are snapshot VIEWS over
-// instruments registered here: the hot path increments an instrument
-// pointer it resolved once at startup; `stats()`-style accessors read the
-// same instruments back, so the two surfaces can never disagree.
+// process-visible registry with a deterministic JSON snapshot. The
+// existing ad-hoc stat structs (EngineStats, DaemonStats, CacheStats
+// mirrors) are snapshot VIEWS over instruments registered here: the hot
+// path increments an instrument pointer it resolved once at startup;
+// `stats()`-style accessors read the same instruments back, so the two
+// surfaces can never disagree.
 //
 // Hot-path cost contract (gated by bench/fig_obs.cpp):
 //   Counter::inc()      — one release fetch_add, <= 50 ns/op.
@@ -120,15 +120,14 @@ class ScopedTimer {
 /// paths resolve instrument pointers once and hold them); instrument
 /// pointers are stable for the registry's lifetime. Names are free-form
 /// but conventionally dotted lowercase ("engine.requests",
-/// "pland.hit_seconds"); the Prometheus exposition mangles them to
-/// `karma_` + [a-z0-9_].
+/// "pland.hit_seconds").
 class Registry {
  public:
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
 
-  /// Registers a callback run before every snapshot/exposition, outside
+  /// Registers a callback run before every snapshot, outside
   /// the registry lock — the hook through which externally-owned stats
   /// (CacheStats, per-tenant queue depths) are mirrored into gauges at
   /// snapshot time. Returns a token for remove_collector; owners whose
@@ -140,10 +139,6 @@ class Registry {
   /// "histograms":{...}} with names sorted, doubles in the repo-standard
   /// %.17g form (util::json::Writer).
   std::string snapshot_json();
-
-  /// Prometheus text exposition (counters, gauges, histograms with
-  /// cumulative `le` buckets + _sum/_count).
-  std::string prometheus_text();
 
  private:
   mutable std::mutex mu_;

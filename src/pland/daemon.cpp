@@ -512,17 +512,16 @@ struct Daemon::Impl {
     // granularity (a few ms) behind a long anneal — that granularity is
     // exactly the cross-tenant p99 tail on a single core, and niceness
     // alone cannot remove it. Searches still run at full speed whenever
-    // warm traffic sleeps. Per-thread (pid 0 = calling thread); the nice
-    // delta is kept as a fallback for kernels where the policy switch is
-    // refused. Best-effort: failure means less isolation, not less
-    // service.
-    if (options.worker_nice > 0) {
-      struct sched_param sp = {};
-      if (::sched_setscheduler(0, SCHED_IDLE, &sp) != 0)
-        ::sched_setscheduler(0, SCHED_BATCH, &sp);
-      ::setpriority(PRIO_PROCESS, 0,
-                    ::getpriority(PRIO_PROCESS, 0) + options.worker_nice);
-    }
+    // warm traffic sleeps. Per-thread (pid 0 = calling thread); nice
+    // kWorkerNice is kept as a fallback for kernels where the policy
+    // switch is refused. Lowering priority needs no privilege, and it is
+    // best-effort: failure means less isolation, not less service.
+    constexpr int kWorkerNice = 10;
+    struct sched_param sp = {};
+    if (::sched_setscheduler(0, SCHED_IDLE, &sp) != 0)
+      ::sched_setscheduler(0, SCHED_BATCH, &sp);
+    ::setpriority(PRIO_PROCESS, 0,
+                  ::getpriority(PRIO_PROCESS, 0) + kWorkerNice);
     for (;;) {
       Job job;
       {

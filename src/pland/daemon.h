@@ -44,7 +44,7 @@ struct DaemonOptions {
   /// Filesystem path the unix socket binds at. A stale socket file from a
   /// dead daemon is unlinked on start; a live one fails start().
   std::string socket_path;
-  /// The fronted Engine (cache mode/capacity/dir, engine workers).
+  /// The fronted Engine (cache mode/capacity/dir).
   api::EngineOptions engine;
   /// Daemon plan workers draining the tenant queues; 0 = auto
   /// (hardware_concurrency clamped to [2, 8]).
@@ -57,14 +57,6 @@ struct DaemonOptions {
   /// A tenant with weight 2 drains twice as often as one with weight 1
   /// when both have backlog.
   std::map<std::string, double> tenant_weights;
-  /// Deprioritize the plan-worker threads (SCHED_IDLE, with this nice
-  /// delta as fallback). Cold searches are batch work; warm hits are
-  /// latency work served on the connection threads — idle-policy workers
-  /// are preempted unconditionally when a hit wakes, which is what keeps
-  /// one tenant's cold storm from inflating another tenant's hit tail
-  /// even on a starved box. Lowering priority needs no privilege; 0
-  /// disables.
-  int worker_nice = 10;
   /// Non-empty enables request-lifecycle tracing (DESIGN.md §15) for the
   /// daemon's lifetime and flushes the trace ring to
   /// `<trace_dir>/plan-<seq>.trace.json` (Chrome trace_event JSON —

@@ -401,27 +401,6 @@ TEST(PlanCacheDisk, PropertyCachedThenReloadedEqualsFreshlyPlanned) {
 // Session cache modes
 // ---------------------------------------------------------------------------
 
-TEST(SessionCache, ReadOnlyModeNeverWrites) {
-  TempCacheDir dir("readonly");
-  api::SessionOptions options = with_dir(dir.path());
-  options.cache_mode = api::SessionOptions::CacheMode::kReadOnly;
-  const api::Session session = api::Engine::create({options})->session();
-  session.plan_or_throw(resnet_request());
-  EXPECT_EQ(session.cache_stats().insertions, 0u);
-  EXPECT_EQ(session.cache_stats().disk_writes, 0u);
-  EXPECT_FALSE(fs::exists(dir.path()));  // store never even created
-
-  // Against a populated store it consults but never mutates: repeated
-  // disk hits are NOT promoted into the LRU (that would be an insert).
-  api::Engine::create({with_dir(dir.path())})->session().plan_or_throw(resnet_request());
-  const api::Session reader = api::Engine::create({options})->session();
-  reader.plan_or_throw(resnet_request());
-  reader.plan_or_throw(resnet_request());
-  EXPECT_EQ(reader.cache_stats().disk_hits, 2u);
-  EXPECT_EQ(reader.cache_stats().memory_hits, 0u);
-  EXPECT_EQ(reader.cache_stats().insertions, 0u);
-}
-
 TEST(SessionCache, BypassModeRunsTheFullSearchEveryTime) {
   api::SessionOptions options;
   options.cache_mode = api::SessionOptions::CacheMode::kBypass;
@@ -456,6 +435,35 @@ TEST(SessionCache, MemoryHitsWithinOneSession) {
   EXPECT_EQ(session.cache_stats().misses, 1u);
 }
 
+TEST(SessionCache, MemoryAndDiskHitsOfOneKeyAgree) {
+  // The memory level keeps the artifact as it round-trips through JSON,
+  // so which level answers never shows in the Plan a caller gets.
+  TempCacheDir dir("levels");
+  const api::Session writer =
+      api::Engine::create({with_dir(dir.path())})->session();
+  const api::Plan searched = writer.plan_or_throw(resnet_request());
+  ASSERT_FALSE(searched.trace.records.empty());  // the search's own plan
+  ASSERT_GT(searched.search_stats.candidates, 0);
+  const api::Plan memory = writer.plan_or_throw(resnet_request());
+  ASSERT_EQ(writer.cache_stats().memory_hits, 1u);
+
+  const api::Session reader =
+      api::Engine::create({with_dir(dir.path())})->session();
+  const api::Plan disk = reader.plan_or_throw(resnet_request());
+  ASSERT_EQ(reader.cache_stats().disk_hits, 1u);
+
+  EXPECT_EQ(memory.to_json(), disk.to_json());
+  EXPECT_EQ(memory.to_json(), searched.to_json());
+  for (const api::Plan* hit : {&memory, &disk}) {
+    EXPECT_TRUE(hit->trace.records.empty());
+    EXPECT_EQ(hit->search_stats.candidates, 0);
+    EXPECT_EQ(hit->search_stats.simulations, 0);
+    EXPECT_EQ(hit->search_stats.memo_hits, 0);
+    EXPECT_EQ(hit->search_stats.anneal_workers, 0);
+    EXPECT_EQ(hit->search_stats.search_seconds, 0.0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Feasibility bisection: probe counting + probe caching
 // ---------------------------------------------------------------------------
@@ -465,13 +473,14 @@ TEST(SessionCache, BisectionReportsAndCachesItsProbes) {
   request.model = chain_model(4, 8, 32768);  // 1 MiB/layer at batch 8
   request.device = sim::test_device();       // 1 MiB device: infeasible
   request.probe_feasible_batch = true;
+  // A second request that differs only in its anneal budget: a different
+  // key, so its diagnosis is not served from the negative-result cache,
+  // but the same bisection probes, which zero the anneal budget.
+  api::PlanRequest other = request;
+  other.planner.anneal_iterations = request.planner.anneal_iterations + 8;
+  ASSERT_NE(request_key(request), request_key(other));
 
-  // kPositiveOnly: without it the second diagnosis below would be served
-  // whole from the negative-result cache (its own test follows) — here we
-  // want the bisection to actually re-run against the warmed probe cache.
-  api::SessionOptions options;
-  options.cache_mode = api::SessionOptions::CacheMode::kPositiveOnly;
-  const api::Session session = api::Engine::create({options})->session();
+  const api::Session session = api::Engine::create()->session();
   const auto first = session.plan(request);
   ASSERT_FALSE(first.has_value());
   const api::PlanError& e1 = first.error();
@@ -479,9 +488,10 @@ TEST(SessionCache, BisectionReportsAndCachesItsProbes) {
   EXPECT_GT(e1.probe_candidates, 0);   // satellite: bisection effort visible
   EXPECT_EQ(e1.probe_cache_hits, 0);   // cold cache: every probe planned
 
-  const auto second = session.plan(request);
+  const auto second = session.plan(other);
   ASSERT_FALSE(second.has_value());
   const api::PlanError& e2 = second.error();
+  EXPECT_FALSE(e2.from_negative_cache);  // really re-diagnosed
   EXPECT_EQ(e2.nearest_feasible_batch, e1.nearest_feasible_batch);
   EXPECT_EQ(e2.probe_candidates, e1.probe_candidates);
   // Successful probes were cached as plan artifacts the first time round.
@@ -542,18 +552,6 @@ TEST(NegativeCache, UnprobedEntryCannotAnswerAProbingRequest) {
   const auto fourth = session.plan(quick);
   ASSERT_FALSE(fourth.has_value());
   EXPECT_TRUE(fourth.error().from_negative_cache);
-}
-
-TEST(NegativeCache, PositiveOnlyModeRediagnosesEveryTime) {
-  api::SessionOptions options;
-  options.cache_mode = api::SessionOptions::CacheMode::kPositiveOnly;
-  const api::Session session = api::Engine::create({options})->session();
-  ASSERT_FALSE(session.plan(infeasible_request()).has_value());
-  const auto second = session.plan(infeasible_request());
-  ASSERT_FALSE(second.has_value());
-  EXPECT_FALSE(second.error().from_negative_cache);
-  EXPECT_EQ(session.cache_stats().negative_hits, 0u);
-  EXPECT_EQ(session.cache_stats().negative_insertions, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -147,23 +147,6 @@ TEST(Registry, HistogramObserveIsThreadSafe) {
   EXPECT_NEAR(snap.mean, 1e-3, 1e-12);
 }
 
-TEST(Registry, PrometheusTextExposition) {
-  obs::Registry reg;
-  reg.counter("engine.requests")->inc(3);
-  reg.gauge("cache.resident_bytes")->set(1024);
-  reg.histogram("engine.search_seconds")->observe(0.5);
-  const std::string text = reg.prometheus_text();
-  EXPECT_NE(text.find("# TYPE karma_engine_requests counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("karma_engine_requests 3"), std::string::npos);
-  EXPECT_NE(text.find("karma_cache_resident_bytes 1024"), std::string::npos);
-  // Cumulative buckets with the mandatory +Inf terminal.
-  EXPECT_NE(text.find("karma_engine_search_seconds_bucket{le=\"+Inf\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("karma_engine_search_seconds_count 1"),
-            std::string::npos);
-}
-
 TEST(Registry, CollectorsRunAtSnapshotAndDeregister) {
   obs::Registry reg;
   obs::Gauge* g = reg.gauge("mirror.value");

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "src/calib/profile.h"
+#include "src/sim/device.h"
 #include "src/train/synthetic.h"
 
 namespace karma::train {
@@ -255,6 +259,81 @@ TEST(OocExec, ConvNetSwapAlsoExact) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_TRUE(bitwise_equal(*a[i], *b[i])) << "grad " << i;
+}
+
+// ---- Profile capture (DESIGN.md §13): the executor is the only producer
+// of measured samples, so what it records is what calib::fit sees.
+
+/// The device model's prediction for one recorded op, spelled out per
+/// kind: compute on the bandwidth roofline, swaps on their tier legs.
+Seconds model_prediction(const sim::DeviceSpec& device,
+                         const calib::ProfileSample& s) {
+  switch (s.kind) {
+    case calib::CostKind::kCompute:
+      return device.kernel_time(graph::LayerKind::kReLU, 0.0, s.bytes);
+    case calib::CostKind::kH2d:
+      return device.h2d_time(s.bytes);
+    case calib::CostKind::kD2h:
+      return device.d2h_time(s.bytes);
+    case calib::CostKind::kNvmeRead:
+      return device.read_from_tier_time(tier::Tier::kNvme, s.bytes);
+    case calib::CostKind::kNvmeWrite:
+      return device.write_to_tier_time(tier::Tier::kNvme, s.bytes);
+    case calib::CostKind::kCpuUpdate:
+      return device.cpu_update_time(s.bytes);
+  }
+  return -1.0;
+}
+
+TEST(OocExec, RecordsAProfileSamplePerTimedOp) {
+  const SyntheticBatch data = batch();
+  for (const sim::DeviceSpec& device :
+       {sim::v100_abci_nvme(), sim::v100_abci()}) {
+    SCOPED_TRACE(device.name);
+    Sequential net = fresh_mlp();
+    auto blocks = blocks_with(BlockPolicy::kResident, net.size());
+    ASSERT_GE(blocks.size(), 4u);
+    blocks[0].policy = BlockPolicy::kSwap;
+    blocks[1].policy = BlockPolicy::kSwapNvme;
+    blocks[2].policy = BlockPolicy::kRecompute;
+    OocExecutor exec(&net, blocks, Bytes{1} << 30);
+    calib::ProfileRecorder recorder(device, "mlp");
+    exec.set_profile_recorder(&recorder);
+    const StepStats stats = exec.compute_gradients(data.inputs, data.labels);
+
+    std::map<calib::CostKind, int> count;
+    std::map<calib::CostKind, Bytes> bytes;
+    for (const calib::ProfileSample& s : recorder.artifact().samples) {
+      ++count[s.kind];
+      bytes[s.kind] += s.bytes;
+      EXPECT_GT(s.bytes, 0);
+      EXPECT_GE(s.measured, 0.0);
+      EXPECT_EQ(s.predicted, model_prediction(device, s))
+          << calib::cost_kind_name(s.kind) << " " << s.bytes << " B";
+    }
+    // Compute: one forward and one backward per block, plus the
+    // recompute block's re-forward.
+    EXPECT_EQ(count[calib::CostKind::kCompute],
+              2 * static_cast<int>(blocks.size()) + 1);
+    // The host-swapped block: one d2h and one h2d per layer it evicts.
+    EXPECT_EQ(count[calib::CostKind::kD2h], 2);
+    EXPECT_EQ(count[calib::CostKind::kH2d], 2);
+    EXPECT_EQ(bytes[calib::CostKind::kD2h], stats.swapped_out_bytes);
+    EXPECT_EQ(bytes[calib::CostKind::kH2d], stats.swapped_in_bytes);
+    // The NVMe-swapped block: samples only when the device has the tier
+    // to calibrate against.
+    if (device.has_nvme()) {
+      EXPECT_EQ(count[calib::CostKind::kNvmeWrite], 2);
+      EXPECT_EQ(count[calib::CostKind::kNvmeRead], 2);
+      EXPECT_EQ(bytes[calib::CostKind::kNvmeWrite], stats.nvme_out_bytes);
+      EXPECT_EQ(bytes[calib::CostKind::kNvmeRead], stats.nvme_in_bytes);
+    } else {
+      EXPECT_EQ(count[calib::CostKind::kNvmeWrite], 0);
+      EXPECT_EQ(count[calib::CostKind::kNvmeRead], 0);
+      EXPECT_GT(stats.nvme_out_bytes, 0);
+    }
+    EXPECT_EQ(count[calib::CostKind::kCpuUpdate], 0);  // no update ran
+  }
 }
 
 }  // namespace
